@@ -16,6 +16,8 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 from . import oracle
 from .core import SequenceClass, doubly_surjective_count, z_count
@@ -310,20 +312,38 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _uncapped_int_digits() -> Iterator[None]:
+    """Lift CPython's cap on int-to-decimal conversion (4,300 digits by
+    default) for the duration, then restore the caller's setting.  Python
+    releases before 3.10.7 have no cap and no setter."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    digit_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(digit_cap)
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse argv (sys.argv by default), dispatch, and return the exit
-    status: 0 ok/pass, 1 usage, 2 mismatch, 3 budget."""
+    status: 0 ok/pass, 1 usage, 2 mismatch, 3 budget.  Counts of any
+    size are printed in full."""
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.handler(args)
-    except BudgetExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BUDGET
+    with _uncapped_int_digits():
+        try:
+            args = parser.parse_args(argv)
+        except _UsageError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            return args.handler(args)
+        except BudgetExceeded as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_BUDGET
 
 
 main = run  # conventional entry-point name, used by the console script

@@ -13,9 +13,11 @@ any computation, so results are correct at any magnitude.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 
 Count = int
 
@@ -85,32 +87,49 @@ def falling_factorial(a: int, t: int) -> Count:
     return math.perm(a, t)
 
 
+def _slack_diagonals(m_max: int, lam_max: int) -> Iterator[list[Count]]:
+    """Walk the S(m, lam) grid for m <= m_max and lam <= lam_max one
+    diagonal of constant slack s = m - 2*lam at a time.
+
+    For s = 0, 1, ..., m_max this yields the fresh list
+    [S(2*l + s, l) for l in 0..min(lam_max, (m_max - s) // 2)].  Each
+    entry is one step of the recurrence
+    S(m, lam) = lam * (S(m - 1, lam) + (m - 1) * S(m - 2, lam - 1)),
+    whose two inputs sit on the previous diagonal and earlier on this one,
+    so only two diagonals are held at a time.
+    """
+    prev = [0] * (lam_max + 1)  # diagonal s = -1: S(2l - 1, l) = 0
+    for s in range(m_max + 1):
+        row = [int(s == 0)]
+        for lam in range(1, min(lam_max, (m_max - s) // 2) + 1):
+            row.append(lam * (prev[lam] + (2 * lam + s - 1) * row[-1]))
+        yield row
+        prev = row
+
+
 @lru_cache(maxsize=None)
 def doubly_surjective_count(m: int, lam: int) -> Count:
     """Number of ways to assign m labeled balls to lam labeled colors so
     that every color receives at least two balls.
 
-    Inclusion-exclusion over the colors that end up underfilled:
+    Classify by the ball of highest label: either it joins one of lam
+    colors that already hold two or more of the other balls, or it shares
+    a color with exactly one of the other m - 1 balls.  Hence
 
-        sum_{j=0..lam} (-1)^j C(lam, j)
-            * sum_{i=0..j} C(j, i) * m!/(m-i)! * (lam - j)^(m - i)
+        S(m, lam) = lam * (S(m - 1, lam) + (m - 1) * S(m - 2, lam - 1))
 
-    with 0^0 = 1, so the empty assignment (m = lam = 0) counts once.
-    Individual terms are signed but the total is a cardinality; a final
-    assertion guards against that ever breaking.
+    with S(0, 0) = 1 and S(m, lam) = 0 whenever 2 * lam > m.  These are
+    lam! times the associated Stirling numbers of the second kind (OEIS
+    A008299; Comtet, *Advanced Combinatorics*, 1974).  Every term is
+    non-negative.  One cell costs (lam + 1) * (m - 2*lam + 1) recurrence
+    steps and holds O(lam) integers at a time.
     """
     if m < 0 or lam < 0:
         raise ValueError("arguments must be non-negative")
-    total = 0
-    for j in range(lam + 1):
-        # i > m would need more than m distinguished balls; those terms
-        # vanish through the falling factorial, so the range is clipped.
-        inner = 0
-        for i in range(min(j, m) + 1):
-            inner += math.comb(j, i) * math.perm(m, i) * (lam - j) ** (m - i)
-        total += (-1) ** j * math.comb(lam, j) * inner
-    assert total >= 0, f"assignment count went negative: ({m}, {lam}) -> {total}"
-    return total
+    if 2 * lam > m:
+        return 0
+    row = next(islice(_slack_diagonals(m, lam), m - 2 * lam, None))
+    return row[lam]
 
 
 def feasibility(cell: SequenceClass) -> FeasibilityReport:
@@ -140,6 +159,18 @@ def feasibility(cell: SequenceClass) -> FeasibilityReport:
     return FeasibilityReport(not violated, tuple(violated))
 
 
+def _placements(k: int, n: int, m: int, lam: int) -> Count:
+    """Every factor of the (k, n, m, lam) cell count except S(m, lam):
+    C(n, lam) * C(k, m) * (n - lam)!/(n - lam - k + m)!.
+
+    Zero when m > k, lam > n or k - m > n - lam, since no coloring then
+    fits the cell.
+    """
+    if m > k or lam > n or k - m > n - lam:
+        return 0
+    return math.comb(n, lam) * math.comb(k, m) * math.perm(n - lam, k - m)
+
+
 def z_count(cell: SequenceClass) -> Count:
     """Exact number of sequences in one (k, n, m, lam) cell.
 
@@ -147,16 +178,9 @@ def z_count(cell: SequenceClass) -> Count:
     which m positions hold matched balls, an injective coloring of the
     remaining k - m positions from the remaining n - lam colors, and an
     assignment of the matched positions onto the repeated colors giving
-    each at least two.  Infeasible cells count zero.
+    each at least two.  Every infeasible cell comes out zero through these
+    factors, so no separate feasibility check runs.
     """
-    if not feasibility(cell).feasible:
-        return 0
     k, n, m, lam = cell.k, cell.n, cell.m, cell.lam
-    if m > k or lam > n:
-        return 0
-    return (
-        binomial(n, lam)
-        * binomial(k, m)
-        * falling_factorial(n - lam, k - m)
-        * doubly_surjective_count(m, lam)
-    )
+    placements = _placements(k, n, m, lam)
+    return placements * doubly_surjective_count(m, lam) if placements else 0

@@ -83,6 +83,19 @@ def classify(coloring: Coloring) -> ClassStats:
     return ClassStats(m, lam, mu, distinct)
 
 
+def _exceeds_budget(k: int, n: int, budget: int) -> bool:
+    """Whether n^k > budget, found without building n^k: for n >= 2 the
+    running product passes any budget within about log2(budget) steps."""
+    if n <= 1:
+        return (n if k else 1) > budget  # 0^k = 0 for k >= 1; 1^k = x^0 = 1
+    size = 1
+    for _ in range(k):
+        size *= n
+        if size > budget:
+            return True
+    return size > budget
+
+
 def enumerate_counts(k: int, n: int, budget: int = DEFAULT_BUDGET) -> DistributionTable:
     """Ground-truth census built by classifying every one of the n^k
     colorings, walked as a mixed-radix counter in constant memory.
@@ -92,7 +105,7 @@ def enumerate_counts(k: int, n: int, budget: int = DEFAULT_BUDGET) -> Distributi
     """
     if k < 0 or n < 0:
         raise ValueError("k and n must be non-negative")
-    if n**k > budget:
+    if _exceeds_budget(k, n, budget):
         raise BudgetExceeded(k, n, budget)
     by_match_cell: dict[tuple[int, int], Count] = {}
     by_repeat_count: dict[int, Count] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Count, SequenceClass, z_count
+from .core import Count, SequenceClass, _placements, _slack_diagonals, z_count
 
 
 @dataclass
@@ -92,19 +92,24 @@ def problem4_repeats_any_length(n: int, mu: int) -> Count:
 def distribution_table(k: int, n: int) -> DistributionTable:
     """Complete census for fixed (k, n), computed from the closed forms.
 
-    Emits only nonzero cells, in lexicographic (m, lam) order and ascending
-    mu order (dicts preserve insertion order, so iteration is deterministic).
+    One walk of the S(m, lam) recurrence over every m <= k supplies the
+    whole table, O(k^2) steps in all; each repeat bucket mu then sums its
+    cells (mu + lam, lam).  Emits only nonzero cells, in lexicographic
+    (m, lam) order and ascending mu order (dicts preserve insertion order,
+    so iteration is deterministic).
     """
     _require_nonneg(k=k, n=n)
-    by_match_cell: dict[tuple[int, int], Count] = {}
-    for m in range(k + 1):
-        for lam in range(m // 2 + 1):
-            count = z_count(SequenceClass(k, n, m, lam))
+    cells: dict[tuple[int, int], Count] = {}
+    for s, row in enumerate(_slack_diagonals(k, k // 2)):
+        for lam, assignments in enumerate(row):
+            m = 2 * lam + s
+            count = _placements(k, n, m, lam) * assignments
             if count:
-                by_match_cell[m, lam] = count
+                cells[m, lam] = count
+    by_match_cell = dict(sorted(cells.items()))
     by_repeat_count: dict[int, Count] = {}
     for mu in range(k):
-        count = problem3_repeats_fixed_length(k, n, mu)
+        count = sum(by_match_cell.get((mu + lam, lam), 0) for lam in range(mu + 1))
         if count:
             by_repeat_count[mu] = count
     return DistributionTable(k, n, by_match_cell, by_repeat_count)

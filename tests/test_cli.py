@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import json
+import math
+import sys
 
 import pytest
 
@@ -65,6 +67,24 @@ def test_count_json_uses_decimal_strings(capsys):
     value = int(record["result"])
     assert value == core.falling_factorial(40, 40)
     assert str(value) == record["result"]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("k", [2000, 3300])
+def test_counts_past_the_int_digit_cap(capsys, k, fmt):
+    # z(k, k, 0, 0) = k!, with 5,736 digits at k = 2000 and 10,181 at
+    # k = 3300: past CPython's default 4,300-digit int-to-str cap.
+    cap = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "z", "--k", str(k), "--n", str(k), "--m", "0",
+                         "--lambda", "0", "--format", fmt)
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == cap  # the caller's setting is back
+    text = json.loads(out)["result"] if fmt == "json" else out.rstrip("\n")
+    sys.set_int_max_str_digits(0)
+    try:
+        assert text == str(math.factorial(k))
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 # -------------------------------------------------------------------- tables

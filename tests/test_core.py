@@ -156,6 +156,25 @@ def test_doubly_surjective_splits_off_last_color():
             assert doubly_surjective_count(m, lam) == recursed
 
 
+def _inclusion_exclusion(m, lam):
+    """S(m, lam) by inclusion-exclusion over the colors left underfilled:
+    sum_j (-1)^j C(lam, j) sum_i C(j, i) m!/(m-i)! (lam - j)^(m - i),
+    with 0^0 = 1.  Signed terms, so it shares no step with the recurrence."""
+    total = 0
+    for j in range(lam + 1):
+        inner = 0
+        for i in range(min(j, m) + 1):
+            inner += math.comb(j, i) * math.perm(m, i) * (lam - j) ** (m - i)
+        total += (-1) ** j * math.comb(lam, j) * inner
+    return total
+
+
+def test_doubly_surjective_matches_inclusion_exclusion():
+    for m in range(81):
+        for lam in range(m // 2 + 1):
+            assert doubly_surjective_count(m, lam) == _inclusion_exclusion(m, lam), (m, lam)
+
+
 # ------------------------------------------------------------- SequenceClass
 
 def test_sequence_class_rejects_negative_fields():

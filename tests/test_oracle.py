@@ -1,5 +1,7 @@
 """Tests for the brute-force enumeration oracle."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -140,6 +142,23 @@ def test_enumerate_budget_is_inclusive():
     assert sum(table.by_match_cell.values()) == 1024
     with pytest.raises(BudgetExceeded):
         enumerate_counts(10, 2, budget=1023)
+
+
+def test_enumerate_refuses_huge_shapes_cheaply():
+    # n^k here has 4.8 million digits; the refusal must not build it.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        enumerate_counts(10**7, 3, budget=10)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_enumerate_budget_on_degenerate_palettes():
+    # 1^k = n^0 = 1 colorings, so a zero budget refuses them however large
+    # the other parameter is; 0^k = 0 for k >= 1 fits any budget.
+    for k, n in [(10**7, 1), (0, 10**7), (0, 0)]:
+        with pytest.raises(BudgetExceeded):
+            enumerate_counts(k, n, budget=0)
+    assert enumerate_counts(3, 0, budget=0).by_match_cell == {}
 
 
 def test_enumerate_rejects_negative_shape():

@@ -143,6 +143,14 @@ def test_problem4_matches_oracle_aggregation_small(oracle_tables):
             assert problem4_repeats_any_length(n, mu) == expected, (n, mu)
 
 
+def test_table_matches_oracle_everywhere_small(oracle_tables):
+    # The same (k, n) scope as the problem1/problem3 sweeps above, so every
+    # table here is one the session fixture enumerates for them anyway.
+    for k in range(9):
+        for n in range(9):
+            assert distribution_table(k, n) == oracle_tables(k, n), (k, n)
+
+
 # ------------------------------------------------------ cross-problem identity
 
 def test_problem_sums_recover_total_mass():
@@ -215,3 +223,23 @@ def test_table_total_mass(k, n):
     assert sum(table.by_match_cell.values()) == n**k
     if k > 0:
         assert sum(table.by_repeat_count.values()) == n**k
+
+
+def test_table_matches_single_cell_and_problem3():
+    # The table's one recurrence walk against the cached per-cell path.
+    for k in range(41):
+        for n in range(41):
+            table = distribution_table(k, n)
+            for m in range(k + 1):
+                for lam in range(m // 2 + 1):
+                    cell = z_count(SequenceClass(k, n, m, lam))
+                    assert table.by_match_cell.get((m, lam), 0) == cell, (k, n, m, lam)
+            for mu in range(k):
+                bucket = problem3_repeats_fixed_length(k, n, mu)
+                assert table.by_repeat_count.get(mu, 0) == bucket, (k, n, mu)
+
+
+def test_table_total_mass_large():
+    table = distribution_table(150, 150)
+    assert sum(table.by_match_cell.values()) == 150**150
+    assert sum(table.by_repeat_count.values()) == 150**150
