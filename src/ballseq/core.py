@@ -32,6 +32,14 @@ class Constraint(Enum):
     ZERO_MATCH_SHAPE = "ZeroMatchShape"
 
 
+def _require_nonneg(**params: int) -> None:
+    """Raise ValueError unless every value is a non-negative int.  A bool
+    is an int to Python but not a count, so it is refused too."""
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SequenceClass:
     """One counting cell: sequences of ``k`` balls over ``n`` labeled colors
@@ -47,12 +55,7 @@ class SequenceClass:
     lam: int
 
     def __post_init__(self) -> None:
-        for name in ("k", "n", "m", "lam"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(
-                    f"{name} must be a non-negative integer, got {value!r}"
-                )
+        _require_nonneg(k=self.k, n=self.n, m=self.m, lam=self.lam)
 
 
 @dataclass(frozen=True)

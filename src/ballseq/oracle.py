@@ -40,10 +40,9 @@ class Coloring:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "colors", tuple(self.colors))
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"palette size must be a non-negative integer, got {self.n!r}")
+        core._require_nonneg(n=self.n)
         for c in self.colors:
-            if not isinstance(c, int) or not 0 <= c < self.n:
+            if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < self.n:
                 raise ValueError(f"color index {c!r} outside palette [0, {self.n})")
 
 
@@ -103,8 +102,7 @@ def enumerate_counts(k: int, n: int, budget: int = DEFAULT_BUDGET) -> Distributi
     Deliberately ignorant of every closed form it is used to check.
     Raises BudgetExceeded when n^k > budget rather than truncating.
     """
-    if k < 0 or n < 0:
-        raise ValueError("k and n must be non-negative")
+    core._require_nonneg(k=k, n=n)
     if _exceeds_budget(k, n, budget):
         raise BudgetExceeded(k, n, budget)
     by_match_cell: dict[tuple[int, int], Count] = {}

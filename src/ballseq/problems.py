@@ -3,15 +3,24 @@
 Four aggregation flavors: fix the sequence length and count by matched
 balls (problem1) or by repeats-after-first-occurrence (problem3), or sum
 each of those over every length that can realize the statistic (problem2,
-problem4).  All are finite sums of single-cell counts from
-:mod:`ballseq.core`.
+problem4).  Each is a sum over lam of the cells of :mod:`ballseq.core`,
+
+    C(n, lam) * C(k, m) * (n - lam)!/(n - lam - k + m)! * S(m, lam),
+
+with every S(m, lam) it needs read from one cached walk of the
+recurrence: the column S(m, lam) for problem1 and problem2, the diagonal
+S(mu + lam, lam) for problem3 and problem4.  The any-length sums also fold
+the sum over lengths into one polynomial per lam.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 
-from .core import Count, SequenceClass, _placements, _slack_diagonals, z_count
+from .core import Count, _placements, _require_nonneg, _slack_diagonals
 
 
 @dataclass
@@ -31,10 +40,54 @@ class DistributionTable:
     by_repeat_count: dict[int, Count]
 
 
-def _require_nonneg(**params: int) -> None:
-    for name, value in params.items():
-        if not isinstance(value, int) or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+# Each cache entry holds at most top + 1 integers; the bound keeps a
+# long-running process from holding every line it has ever walked.
+@lru_cache(maxsize=4096)
+def _s_column(m: int, top: int) -> tuple[Count, ...]:
+    """S(m, lam) for lam = 0..top, where top <= m // 2.
+
+    S(m, lam) sits at index lam of the diagonal of slack m - 2*lam, so one
+    walk bounded by lam <= top holds the whole column: about
+    (top + 1) * (m - top + 1) steps, where the full column would take
+    about m^2 / 4.
+    """
+    column = [0] * (top + 1)
+    for s, row in enumerate(_slack_diagonals(m, top)):
+        lam, odd = divmod(m - s, 2)
+        if not odd and lam <= top:
+            column[lam] = row[lam]
+    return tuple(column)
+
+
+@lru_cache(maxsize=4096)
+def _s_repeats(mu: int, top: int) -> tuple[Count, ...]:
+    """S(mu + lam, lam) for lam = 0..top, where top <= mu.
+
+    S(mu + lam, lam) sits at index lam of the diagonal of slack mu - lam,
+    so the first mu + 1 diagonals of one walk bounded by lam <= top hold
+    them all.
+    """
+    diagonals = islice(_slack_diagonals(mu + top, top), mu + 1)
+    return tuple(row[mu - s] for s, row in enumerate(diagonals) if mu - s <= top)[::-1]
+
+
+def _lengths(m: int, free: int, top: int) -> Count:
+    """Sum over t = 0..top of C(m + t, t) * free!/(free - t)!, top <= free.
+
+    Term t counts the ways to add t unmatched balls to m matched ones in a
+    sequence of m + t positions, coloring them injectively from ``free``
+    colors: the factors of a cell that depend on its length.  Evaluated by
+    Horner's rule in the falling factorial of ``free``, stepping
+    C(m + t, t) down to C(m + t - 1, t - 1) along the way.
+    """
+    if top < 0:
+        return 0
+    binom = math.comb(m + top, top)
+    total = binom
+    for t in range(top, 0, -1):
+        binom = binom * t // (m + t)
+        total = binom + (free - t + 1) * total
+    return total
 
 
 def problem1_matches_fixed_length(k: int, n: int, m: int) -> Count:
@@ -43,11 +96,15 @@ def problem1_matches_fixed_length(k: int, n: int, m: int) -> Count:
 
     The repeated-color count lam never exceeds m // 2 (two balls minimum
     per repeated color) nor n - k + m (the unmatched balls need distinct
-    colors of their own), so the sum is clipped to the smaller bound.
+    colors of their own), so the sum is clipped to the smaller bound, and
+    S(m, lam) comes from one walk that stops there.
     """
     _require_nonneg(k=k, n=n, m=m)
     top = min(m // 2, n - k + m)
-    return sum(z_count(SequenceClass(k, n, m, lam)) for lam in range(top + 1))
+    if m > k or top < 0:
+        return 0
+    column = _s_column(m, top)
+    return sum(_placements(k, n, m, lam) * column[lam] for lam in range(top + 1))
 
 
 def problem2_matches_any_length(n: int, m: int) -> Count:
@@ -58,9 +115,18 @@ def problem2_matches_any_length(n: int, m: int) -> Count:
     n - 1 unmatched colors alongside at the high end.  The m = 0 extension
     keeps the same index pattern, counting injective sequences of lengths
     0 through n - 1.
+
+    For each lam, the length sum runs over the t = k - m unmatched balls,
+    up to n - 1 and up to the n - lam colors left for them; its terms share
+    the factor C(n, lam) * S(m, lam), which is taken out once.
     """
     _require_nonneg(n=n, m=m)
-    return sum(problem1_matches_fixed_length(k, n, m) for k in range(m, m + n))
+    top = min(m // 2, n)
+    column = _s_column(m, top)
+    return sum(
+        math.comb(n, lam) * column[lam] * _lengths(m, n - lam, min(n - 1, n - lam))
+        for lam in range(top + 1)
+    )
 
 
 def problem3_repeats_fixed_length(k: int, n: int, mu: int) -> Count:
@@ -69,10 +135,19 @@ def problem3_repeats_fixed_length(k: int, n: int, mu: int) -> Count:
 
     A sequence with mu repeats spread over lam repeated colors has
     mu + lam matched balls in total, so the cells (m, lam) = (mu + lam, lam)
-    for lam in [0, mu] partition exactly these sequences.
+    for lam in [0, mu] partition exactly these sequences.  A cell is empty
+    when mu + lam > k or lam > n, and all are when k - mu > n (the k - mu
+    first occurrences need distinct colors), so the S values come from one
+    walk that stops at the largest lam that can count.
     """
     _require_nonneg(k=k, n=n, mu=mu)
-    return sum(z_count(SequenceClass(k, n, mu + lam, lam)) for lam in range(mu + 1))
+    top = min(mu, k - mu, n)
+    if top < 0 or k - mu > n:
+        return 0
+    diagonal = _s_repeats(mu, top)
+    return sum(
+        _placements(k, n, mu + lam, lam) * diagonal[lam] for lam in range(top + 1)
+    )
 
 
 def problem4_repeats_any_length(n: int, mu: int) -> Count:
@@ -82,11 +157,21 @@ def problem4_repeats_any_length(n: int, mu: int) -> Count:
     balls repeats) through n + mu (every color introduced once).  For
     mu = 0 this counts the injective sequences of lengths 1 through n; the
     empty sequence is excluded by convention.
+
+    For each lam <= min(mu, n), the length sum runs over every number of
+    unmatched balls the n - lam colors left can take, with the factor
+    C(n, lam) * S(mu + lam, lam) taken out once.  That sum also reaches
+    length mu at lam = 0, which holds a sequence only when mu = 0: the
+    empty one, taken off at the end.
     """
     _require_nonneg(n=n, mu=mu)
-    return sum(
-        problem3_repeats_fixed_length(k, n, mu) for k in range(mu + 1, n + mu + 1)
+    top = min(mu, n)
+    diagonal = _s_repeats(mu, top)
+    total = sum(
+        math.comb(n, lam) * diagonal[lam] * _lengths(mu + lam, n - lam, n - lam)
+        for lam in range(top + 1)
     )
+    return total - (mu == 0)
 
 
 def distribution_table(k: int, n: int) -> DistributionTable:

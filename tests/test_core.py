@@ -195,6 +195,13 @@ def test_sequence_class_rejects_non_integers():
         SequenceClass(2, "3", 0, 0)
 
 
+def test_sequence_class_rejects_bools():
+    with pytest.raises(ValueError):
+        SequenceClass(True, 2, 0, False)
+    with pytest.raises(ValueError):
+        SequenceClass(2, 2, 2, True)
+
+
 def test_sequence_class_is_frozen():
     cell = SequenceClass(2, 2, 2, 1)
     with pytest.raises(AttributeError):

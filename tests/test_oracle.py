@@ -43,6 +43,13 @@ def test_coloring_rejects_out_of_range_indices():
         Coloring((0,), 0)
 
 
+def test_coloring_rejects_bools():
+    with pytest.raises(ValueError):
+        Coloring((True,), 2)
+    with pytest.raises(ValueError):
+        Coloring((0,), True)
+
+
 def test_coloring_accepts_any_iterable_of_indices():
     assert Coloring([0, 1, 0], 2).colors == (0, 1, 0)
 
@@ -166,6 +173,11 @@ def test_enumerate_rejects_negative_shape():
         enumerate_counts(-1, 3)
     with pytest.raises(ValueError):
         enumerate_counts(3, -1)
+
+
+def test_enumerate_rejects_bool_shape():
+    with pytest.raises(ValueError):
+        enumerate_counts(True, 3)
 
 
 def test_default_budget_value():

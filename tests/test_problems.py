@@ -1,10 +1,13 @@
 """Tests for the aggregate problems and distribution tables."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ballseq.core import SequenceClass, falling_factorial, z_count
+from ballseq import problems
 from ballseq.problems import (
     distribution_table,
     problem1_matches_fixed_length,
@@ -243,3 +246,125 @@ def test_table_total_mass_large():
     table = distribution_table(150, 150)
     assert sum(table.by_match_cell.values()) == 150**150
     assert sum(table.by_repeat_count.values()) == 150**150
+
+
+# ------------------------------------------ cell-by-cell reference definition
+
+# The aggregates as plain sums of single-cell counts, one z_count per
+# (k, lam) cell, each with its own S from the per-cell path.  The library
+# takes every S from one walk and folds the length sums; these must agree.
+
+def reference_problem1(k, n, m):
+    top = min(m // 2, n - k + m)
+    return sum(z_count(SequenceClass(k, n, m, lam)) for lam in range(top + 1))
+
+
+def reference_problem2(n, m):
+    return sum(reference_problem1(k, n, m) for k in range(m, m + n))
+
+
+def reference_problem3(k, n, mu):
+    return sum(z_count(SequenceClass(k, n, mu + lam, lam)) for lam in range(mu + 1))
+
+
+def reference_problem4(n, mu):
+    return sum(reference_problem3(k, n, mu) for k in range(mu + 1, n + mu + 1))
+
+
+def test_fixed_length_problems_match_reference():
+    # m = k + 1 and mu = k sit just past each support.
+    for k in range(41):
+        for n in range(41):
+            for m in range(k + 2):
+                expected = reference_problem1(k, n, m)
+                assert problem1_matches_fixed_length(k, n, m) == expected, (k, n, m)
+            for mu in range(k + 1):
+                expected = reference_problem3(k, n, mu)
+                assert problem3_repeats_fixed_length(k, n, mu) == expected, (k, n, mu)
+
+
+def test_any_length_problems_match_reference():
+    for n in range(41):
+        for m in range(41):
+            assert problem2_matches_any_length(n, m) == reference_problem2(n, m), (n, m)
+        for mu in range(41):
+            assert problem4_repeats_any_length(n, mu) == reference_problem4(n, mu), (n, mu)
+
+
+REFERENCES = {
+    problem1_matches_fixed_length: reference_problem1,
+    problem2_matches_any_length: reference_problem2,
+    problem3_repeats_fixed_length: reference_problem3,
+    problem4_repeats_any_length: reference_problem4,
+}
+
+
+@pytest.mark.parametrize(
+    "problem, args",
+    [
+        # k = 0 and n = 0
+        (problem1_matches_fixed_length, (0, 0, 0)),
+        (problem1_matches_fixed_length, (0, 5, 0)),
+        (problem1_matches_fixed_length, (5, 0, 4)),
+        (problem2_matches_any_length, (0, 0)),
+        (problem2_matches_any_length, (0, 7)),
+        (problem3_repeats_fixed_length, (0, 0, 0)),
+        (problem3_repeats_fixed_length, (0, 4, 2)),
+        (problem3_repeats_fixed_length, (6, 0, 3)),
+        (problem4_repeats_any_length, (0, 0)),
+        (problem4_repeats_any_length, (0, 6)),
+        # m in {0, 1}
+        (problem1_matches_fixed_length, (60, 70, 0)),
+        (problem1_matches_fixed_length, (60, 70, 1)),
+        (problem2_matches_any_length, (60, 0)),
+        (problem2_matches_any_length, (60, 1)),
+        # mu = 0
+        (problem3_repeats_fixed_length, (50, 60, 0)),
+        (problem4_repeats_any_length, (60, 0)),
+        # n - k + m < 0: the unmatched balls outnumber the colors
+        (problem1_matches_fixed_length, (60, 10, 40)),
+        (problem1_matches_fixed_length, (60, 10, 49)),
+        (problem3_repeats_fixed_length, (60, 10, 40)),
+        # lam > n in the summed range
+        (problem1_matches_fixed_length, (6, 2, 9)),
+        (problem2_matches_any_length, (3, 50)),
+        (problem3_repeats_fixed_length, (60, 5, 56)),
+        (problem4_repeats_any_length, (4, 50)),
+        # the point-query shapes of perfbench's cli-point workload
+        (problem1_matches_fixed_length, (304, 313, 244)),
+        (problem2_matches_any_length, (74, 151)),
+        (problem3_repeats_fixed_length, (301, 294, 78)),
+        (problem4_repeats_any_length, (67, 78)),
+    ],
+    ids=lambda value: value.__name__[:8] if callable(value) else ",".join(map(str, value)),
+)
+def test_problems_match_reference_at_edges_and_large(problem, args):
+    assert problem(*args) == REFERENCES[problem](*args)
+
+
+def test_problem1_walk_stops_at_the_lambda_it_needs():
+    # n - k + m = 5 caps lam at 5; a walk down the whole S(2995, lam)
+    # column would take seconds.
+    problems._s_column.cache_clear()
+    start = time.perf_counter()
+    count = problem1_matches_fixed_length(3000, 10, 2995)
+    assert time.perf_counter() - start < 1.0
+    assert count == reference_problem1(3000, 10, 2995)
+
+
+def test_aggregate_caches_are_bounded():
+    assert problems._s_column.cache_info().maxsize is not None
+    assert problems._s_repeats.cache_info().maxsize is not None
+
+
+def test_problems_reject_bools():
+    with pytest.raises(ValueError):
+        problem1_matches_fixed_length(True, 3, 0)
+    with pytest.raises(ValueError):
+        problem2_matches_any_length(3, False)
+    with pytest.raises(ValueError):
+        problem3_repeats_fixed_length(2, True, 0)
+    with pytest.raises(ValueError):
+        problem4_repeats_any_length(3, True)
+    with pytest.raises(ValueError):
+        distribution_table(True, 2)
