@@ -7,7 +7,8 @@ with counts as decimal strings so arbitrary precision survives consumers
 whose native numbers would overflow.
 
 Exit codes: 0 success or verification pass, 1 usage error, 2 verification
-mismatch, 3 enumeration budget exceeded.
+mismatch, 3 enumeration budget exceeded, 4 any other error (reported as
+one "error:" line on stderr, never as a traceback).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
+EXIT_ERROR = 4
 
 
 class _UsageError(Exception):
@@ -330,8 +332,8 @@ def _uncapped_int_digits() -> Iterator[None]:
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv (sys.argv by default), dispatch, and return the exit
-    status: 0 ok/pass, 1 usage, 2 mismatch, 3 budget.  Counts of any
-    size are printed in full."""
+    status: 0 ok/pass, 1 usage, 2 mismatch, 3 budget, 4 any other error.
+    Counts of any size are printed in full."""
     parser = _build_parser()
     with _uncapped_int_digits():
         try:
@@ -344,6 +346,9 @@ def run(argv: list[str] | None = None) -> int:
         except BudgetExceeded as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_BUDGET
+        except Exception as err:
+            print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+            return EXIT_ERROR
 
 
 main = run  # conventional entry-point name, used by the console script

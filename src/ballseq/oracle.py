@@ -5,11 +5,20 @@ each one's statistics off its literal definition, and tally.  No closed
 form, no symmetry shortcut, no sampling.  That independence is the point;
 :func:`verify` compares these tallies against the formula side cell by
 cell.  Requests too large to enumerate are refused, never truncated.
+
+A large walk is shared between processes: the colors of the first ball
+are dealt round-robin to one process per usable CPU, the extra ones made
+with ``os.fork``, and their tallies are summed.  Each coloring is still
+classified on its own; only the process that counts it changes.  Where
+there is no ``os.fork`` or only one CPU, the whole walk runs in-process.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
+import os
+import threading
 from dataclasses import dataclass
 
 from . import core, problems
@@ -95,20 +104,35 @@ def _exceeds_budget(k: int, n: int, budget: int) -> bool:
     return size > budget
 
 
-def enumerate_counts(k: int, n: int, budget: int = DEFAULT_BUDGET) -> DistributionTable:
-    """Ground-truth census built by classifying every one of the n^k
-    colorings, walked as a mixed-radix counter in constant memory.
+# Below this many colorings a fork (about 1.5 ms on a 2-vCPU VM) costs
+# more than the share of the walk it takes off the parent.
+_SPLIT_MIN = 4096
 
-    Deliberately ignorant of every closed form it is used to check.
-    Raises BudgetExceeded when n^k > budget rather than truncating.
-    """
-    core._require_nonneg(k=k, n=n)
-    if _exceeds_budget(k, n, budget):
-        raise BudgetExceeded(k, n, budget)
-    by_match_cell: dict[tuple[int, int], Count] = {}
-    by_repeat_count: dict[int, Count] = {}
+
+def _workers(k: int, n: int) -> int:
+    """How many processes share the walk of n^k colorings: one per usable
+    CPU, at most n, and just this one where forking is missing, unsafe
+    (other threads are running) or not worth its cost."""
+    if (
+        not hasattr(os, "fork")
+        or not _exceeds_budget(k, n, _SPLIT_MIN - 1)
+        or threading.active_count() > 1
+    ):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n)
+
+
+def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
+    """Count the colorings whose first ball takes a color in ``first`` by
+    their (m, lam, mu), each read off its literal definition."""
+    tally: dict[tuple[int, int, int], int] = {}
     counts = [0] * n
-    for colors in itertools.product(range(n), repeat=k):
+    balls = [first] + [range(n)] * (k - 1) if k else []
+    for colors in itertools.product(*balls):
         mu = 0
         for c in colors:
             if counts[c]:
@@ -125,16 +149,92 @@ def enumerate_counts(k: int, n: int, budget: int = DEFAULT_BUDGET) -> Distributi
                 if cnt >= 2:
                     m += cnt
                     lam += 1
-        cell = (m, lam)
-        if cell in by_match_cell:
-            by_match_cell[cell] += 1
+        key = (m, lam, mu)
+        if key in tally:
+            tally[key] += 1
         else:
-            by_match_cell[cell] = 1
+            tally[key] = 1
+    return tally
+
+
+def _tally_in_child(k: int, n: int, first: range, read_end: int, write_end: int) -> None:
+    """Body of a forked worker: send the tally of its stripe down the pipe
+    as marshal bytes and leave by os._exit, so that nothing the parent had
+    buffered is flushed a second time and no parent code runs on."""
+    status = 1
+    try:
+        os.close(read_end)
+        with open(write_end, "wb") as pipe:
+            pipe.write(marshal.dumps(_tally(k, n, first)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _split_tally(k: int, n: int, workers: int) -> dict[tuple[int, int, int], int]:
+    """Tally every coloring with the first ball's colors dealt round-robin
+    to ``workers`` processes: this one walks stripe 0 and a forked child
+    walks each other stripe.  Every child is reaped before this returns or
+    raises; if this process is interrupted, the children are killed first."""
+    stripes = [range(i, n, workers) for i in range(workers)]
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    parts: list[bytes] = []
+    statuses: list[int] = []
+    try:
+        for stripe in stripes[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _tally_in_child(k, n, stripe, read_end, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        tally = _tally(k, n, stripes[0])
+        for _, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                parts.append(pipe.read())
+    except BaseException:
+        import signal  # here, not at the top, so that importing ballseq stays as cheap
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            statuses.append(os.waitpid(pid, 0)[1])
+    failed = [
+        f"worker {i} exited with status {os.waitstatus_to_exitcode(status)}"
+        for i, status in enumerate(statuses, 1)
+        if status
+    ]
+    if failed:
+        raise RuntimeError(f"enumerating {n}^{k} colorings failed: " + "; ".join(failed))
+    for part in parts:
+        for key, count in marshal.loads(part).items():
+            tally[key] = tally.get(key, 0) + count
+    return tally
+
+
+def enumerate_counts(k: int, n: int, budget: int = DEFAULT_BUDGET) -> DistributionTable:
+    """Ground-truth census built by classifying every one of the n^k
+    colorings, one at a time.  On a machine with several CPUs a large walk
+    is split by the color of the first ball across forked processes; each
+    still classifies its colorings literally.
+
+    Deliberately ignorant of every closed form it is used to check.
+    Raises BudgetExceeded when n^k > budget rather than truncating.
+    """
+    core._require_nonneg(k=k, n=n)
+    if _exceeds_budget(k, n, budget):
+        raise BudgetExceeded(k, n, budget)
+    workers = _workers(k, n) if k else 1  # the empty coloring has no first ball
+    tally = _split_tally(k, n, workers) if workers > 1 else _tally(k, n, range(n))
+    by_match_cell: dict[tuple[int, int], Count] = {}
+    by_repeat_count: dict[int, Count] = {}
+    for (m, lam, mu), count in tally.items():
+        by_match_cell[m, lam] = by_match_cell.get((m, lam), 0) + count
         if k:
-            if mu in by_repeat_count:
-                by_repeat_count[mu] += 1
-            else:
-                by_repeat_count[mu] = 1
+            by_repeat_count[mu] = by_repeat_count.get(mu, 0) + count
     return DistributionTable(k, n, by_match_cell, by_repeat_count)
 
 

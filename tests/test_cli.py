@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ballseq import cli, core
+from ballseq import cli, core, oracle
 from ballseq.core import SequenceClass
 
 
@@ -266,3 +266,26 @@ def test_no_command_exits_one(capsys):
     code, _, err = run(capsys)
     assert code == 1
     assert err != ""
+
+
+# ----------------------------------------------------------- other failures
+
+def test_unrepresentable_shape_exits_four(capsys):
+    # One coloring of 10^20 balls fits any budget, but no walk can hold it.
+    code, out, err = run(capsys, "verify", "--k", "100000000000000000000", "--n", "1")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: OverflowError: ")
+    assert err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_four(capsys, monkeypatch):
+    def broken(k, n, budget):
+        raise RuntimeError("enumerating 4^6 colorings failed: worker 1 exited with status 1")
+
+    monkeypatch.setattr(oracle, "verify", broken)
+    code, out, err = run(capsys, "verify", "--k", "6", "--n", "4")
+    assert code == 4
+    assert out == ""
+    assert err == ("error: RuntimeError: enumerating 4^6 colorings failed:"
+                   " worker 1 exited with status 1\n")

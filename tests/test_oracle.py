@@ -1,12 +1,20 @@
 """Tests for the brute-force enumeration oracle."""
 
+import functools
+import itertools
+import os
+import subprocess
+import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ballseq import core
+import ballseq
+from ballseq import core, oracle
 from ballseq.core import SequenceClass
 from ballseq.oracle import (
     DEFAULT_BUDGET,
@@ -182,6 +190,120 @@ def test_enumerate_rejects_bool_shape():
 
 def test_default_budget_value():
     assert DEFAULT_BUDGET == 10**7
+
+
+# ------------------------------------------------- enumeration across workers
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+# Covers n < workers (empty stripes), uneven stripes, n = 0 with k >= 1, and
+# k = 0, whose single coloring has no first ball to split by.
+SPLIT_SHAPES = [
+    (k, n) for k in (0, 1, 2, 5, 11) for n in (0, 1, 2, 3, 4, 7) if n**k <= 2 * 10**5
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _literal_census(k, n):
+    """Both views of the (k, n) census, built from classify() one coloring
+    at a time, independently of enumerate_counts."""
+    by_match_cell, by_repeat_count = Counter(), Counter()
+    for colors in itertools.product(range(n), repeat=k):
+        stats = classify(Coloring(colors, n))
+        by_match_cell[stats.m, stats.lam] += 1
+        if k:
+            by_repeat_count[stats.mu] += 1
+    return dict(by_match_cell), dict(by_repeat_count)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_split_enumeration_matches_literal_census(monkeypatch, workers):
+    if workers > 1 and not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(oracle, "_workers", lambda k, n: workers)
+    for k, n in SPLIT_SHAPES:
+        table = enumerate_counts(k, n)
+        assert (table.by_match_cell, table.by_repeat_count) == _literal_census(k, n), (k, n)
+
+
+def test_small_shapes_never_fork(monkeypatch):
+    def fork():
+        raise AssertionError("forked for fewer than 4096 colorings")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    for k, n in [(0, 5000), (5000, 1), (11, 2), (7, 3), (3, 15), (2, 63)]:
+        table = enumerate_counts(k, n)
+        assert sum(table.by_match_cell.values()) == n**k, (k, n)
+
+
+@needs_fork
+def test_split_enumeration_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(oracle, "_workers", lambda k, n: 3)
+    assert enumerate_counts(6, 4) == distribution_table(6, 4)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_failed_worker_makes_enumeration_raise(monkeypatch):
+    real = oracle._tally
+
+    def flaky(k, n, first):
+        if first.start == 1:
+            raise RuntimeError("worker lost")
+        return real(k, n, first)
+
+    monkeypatch.setattr(oracle, "_workers", lambda k, n: 3)
+    monkeypatch.setattr(oracle, "_tally", flaky)
+    with pytest.raises(RuntimeError, match="worker 1 exited with status 1"):
+        enumerate_counts(6, 4)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_interrupted_enumeration_kills_its_workers(monkeypatch):
+    real = oracle._tally
+
+    def stalled(k, n, first):
+        if first.start == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return real(k, n, first)
+
+    monkeypatch.setattr(oracle, "_workers", lambda k, n: 3)
+    monkeypatch.setattr(oracle, "_tally", stalled)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        enumerate_counts(6, 4)
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_workers_do_not_flush_the_parents_buffered_stdout():
+    # stdout to a pipe is block-buffered, so the line is still in the
+    # buffer when the workers fork; each must leave without flushing it.
+    script = (
+        "from ballseq import oracle\n"
+        "oracle._workers = lambda k, n: 3\n"
+        "print('before the walk')\n"
+        "oracle.enumerate_counts(3, 22)\n"
+    )
+    src = str(Path(ballseq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "before the walk\n"
 
 
 # -------------------------------------------------------------- verification
