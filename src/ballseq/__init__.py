@@ -7,9 +7,17 @@ statistics in exact integer arithmetic: single cells, aggregates over one
 statistic, aggregates over all lengths, and full distribution tables,
 together with a brute-force oracle that re-derives every count by
 exhaustive enumeration.
+
+The oracle's names (``Coloring``, ``classify``, ``verify`` and the rest)
+are resolved on first use, so ``import ballseq`` does not load
+:mod:`ballseq.oracle` until it or one of them is asked for.
 """
 
+import importlib
+
 from .core import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
     Constraint,
     Count,
     FeasibilityReport,
@@ -19,16 +27,6 @@ from .core import (
     falling_factorial,
     feasibility,
     z_count,
-)
-from .oracle import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    ClassStats,
-    Coloring,
-    VerificationReport,
-    classify,
-    enumerate_counts,
-    verify,
 )
 from .problems import (
     DistributionTable,
@@ -40,6 +38,19 @@ from .problems import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset(
+    {"ClassStats", "Coloring", "VerificationReport", "classify", "enumerate_counts", "verify"}
+)
+
+
+def __getattr__(name: str):
+    """Load the oracle on first use of it or one of its names (PEP 562)."""
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BudgetExceeded",

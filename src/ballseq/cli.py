@@ -7,22 +7,23 @@ with counts as decimal strings so arbitrary precision survives consumers
 whose native numbers would overflow.
 
 Exit codes: 0 success or verification pass, 1 usage error, 2 verification
-mismatch, 3 enumeration budget exceeded, 4 any other error (reported as
-one "error:" line on stderr, never as a traceback).
+mismatch, 3 budget exceeded, 4 any other error (reported as one "error:"
+line on stderr, never as a traceback).
+
+Only verify and verify-range load the brute-force oracle, on first use,
+and only --format json loads json, so that the other commands start
+sooner.  BudgetExceeded and DEFAULT_BUDGET come from ballseq.core.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-from . import oracle
-from .core import SequenceClass, doubly_surjective_count, z_count
-from .oracle import DEFAULT_BUDGET, BudgetExceeded
+from .core import DEFAULT_BUDGET, BudgetExceeded, SequenceClass, doubly_surjective_count, z_count
 from .problems import (
     distribution_table,
     problem1_matches_fixed_length,
@@ -63,10 +64,16 @@ def _nonneg(text: str) -> int:
     return value
 
 
+def _print_json(record: dict) -> None:
+    import json  # here, so that only --format json loads it
+
+    print(json.dumps(record))
+
+
 def _emit_count(args: argparse.Namespace, query: dict, value: int) -> int:
     if args.format == "json":
         record = {"schema_version": SCHEMA_VERSION, "query": query, "result": str(value)}
-        print(json.dumps(record))
+        _print_json(record)
     else:
         print(value)
     return EXIT_OK
@@ -122,7 +129,7 @@ def _run_table(args: argparse.Namespace) -> int:
                 ],
             },
         }
-        print(json.dumps(record))
+        _print_json(record)
     else:
         lines = ["m\tlambda\tcount"]
         lines += [f"{m}\t{lam}\t{count}" for (m, lam), count in cells]
@@ -133,7 +140,8 @@ def _run_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_json(report: oracle.VerificationReport) -> dict:
+def _report_json(report) -> dict:
+    """The JSON form of one oracle.VerificationReport."""
     return {
         "k": report.k,
         "n": report.n,
@@ -146,7 +154,8 @@ def _report_json(report: oracle.VerificationReport) -> dict:
     }
 
 
-def _report_lines(report: oracle.VerificationReport) -> list[str]:
+def _report_lines(report) -> list[str]:
+    """The text form of one oracle.VerificationReport."""
     verdict = "PASS" if report.passed else "FAIL"
     lines = [
         f"k={report.k} n={report.n}: {verdict}"
@@ -158,6 +167,8 @@ def _report_lines(report: oracle.VerificationReport) -> list[str]:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from . import oracle
+
     start = time.perf_counter()
     report = oracle.verify(args.k, args.n, args.budget)
     elapsed = time.perf_counter() - start
@@ -169,7 +180,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         }
         if not args.no_timing:
             record["elapsed_seconds"] = round(elapsed, 6)
-        print(json.dumps(record))
+        _print_json(record)
     else:
         lines = _report_lines(report)
         if not args.no_timing:
@@ -179,6 +190,8 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_verify_range(args: argparse.Namespace) -> int:
+    from . import oracle
+
     start = time.perf_counter()
     pair_records = []
     pair_lines = []
@@ -222,7 +235,7 @@ def _run_verify_range(args: argparse.Namespace) -> int:
         }
         if not args.no_timing:
             record["elapsed_seconds"] = round(elapsed, 6)
-        print(json.dumps(record))
+        _print_json(record)
     else:
         summary = (
             f"checked {passed + failed} pairs:"
@@ -294,7 +307,8 @@ def _build_parser() -> _Parser:
     verify.add_argument("--k", type=_nonneg, required=True)
     verify.add_argument("--n", type=_nonneg, required=True)
     verify.add_argument("--budget", type=_nonneg, default=DEFAULT_BUDGET,
-                        help="max colorings to enumerate (default %(default)s)")
+                        help="max colorings to enumerate, and max cells to check"
+                        " (default %(default)s)")
     verify.add_argument("--no-timing", action="store_true",
                         help="omit elapsed time for byte-identical output")
     _add_format(verify, ("text", "json"), "text")
@@ -305,7 +319,7 @@ def _build_parser() -> _Parser:
     vrange.add_argument("--max-k", type=_nonneg, required=True)
     vrange.add_argument("--max-n", type=_nonneg, required=True)
     vrange.add_argument("--budget", type=_nonneg, default=DEFAULT_BUDGET,
-                        help="per-pair enumeration cap; pairs over it are skipped")
+                        help="per-pair cap on colorings and cells; pairs over it are skipped")
     vrange.add_argument("--no-timing", action="store_true",
                         help="omit elapsed time for byte-identical output")
     _add_format(vrange, ("text", "json"), "text")

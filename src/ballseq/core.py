@@ -8,18 +8,46 @@ the closed-form count of sequences in each (k, n, m, lam) cell.
 
 All arithmetic is exact.  Counts are plain Python ints and no float enters
 any computation, so results are correct at any magnitude.
+
+The records of the package are immutable named tuples built by
+:func:`_record`.  ``BudgetExceeded`` and ``DEFAULT_BUDGET`` live here, not
+in :mod:`ballseq.oracle`, so that the CLI can name them without loading
+the oracle; the oracle re-exports the same objects.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import islice
 
 Count = int
+
+DEFAULT_BUDGET = 10**7
+
+
+class BudgetExceeded(Exception):
+    """Raised when a request would take more work than its budget allows:
+    by default, enumerating more than ``budget`` colorings."""
+
+    def __init__(self, k: int, n: int, budget: int, work: str | None = None) -> None:
+        self.k = k
+        self.n = n
+        self.budget = budget
+        work = work or f"enumerating {n}^{k} colorings"
+        super().__init__(f"{work} exceeds the budget of {budget}")
+
+
+def _record(typename: str, field_names: str) -> type:
+    """A named-tuple base for one of the package's records.  Its ``_make``,
+    and so ``_replace``, builds through the subclass's ``__new__``, so no
+    copy skips the checks made there."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 class Constraint(Enum):
@@ -40,8 +68,7 @@ def _require_nonneg(**params: int) -> None:
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SequenceClass:
+class SequenceClass(_record("SequenceClass", "k n m lam")):
     """One counting cell: sequences of ``k`` balls over ``n`` labeled colors
     with exactly ``m`` matched balls and exactly ``lam`` repeated colors.
 
@@ -49,25 +76,24 @@ class SequenceClass:
     is *repeated* when it colors at least two balls.
     """
 
-    k: int
-    n: int
-    m: int
-    lam: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_nonneg(k=self.k, n=self.n, m=self.m, lam=self.lam)
+    def __new__(cls, k: int, n: int, m: int, lam: int) -> SequenceClass:
+        _require_nonneg(k=k, n=n, m=m, lam=lam)
+        return super().__new__(cls, k, n, m, lam)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Outcome of the structural constraint checks for one cell."""
+class FeasibilityReport(_record("FeasibilityReport", "feasible violated_constraints")):
+    """Outcome of the structural constraint checks for one cell:
+    ``feasible`` (bool) and ``violated_constraints``, a tuple of
+    :class:`Constraint`."""
 
-    feasible: bool
-    violated_constraints: tuple[Constraint, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.feasible != (len(self.violated_constraints) == 0):
+    def __new__(cls, feasible: bool, violated_constraints: tuple[Constraint, ...]) -> FeasibilityReport:
+        if feasible != (len(violated_constraints) == 0):
             raise ValueError("feasible must mean exactly zero violations")
+        return super().__new__(cls, feasible, violated_constraints)
 
 
 def binomial(a: int, b: int) -> Count:
@@ -142,7 +168,7 @@ def feasibility(cell: SequenceClass) -> FeasibilityReport:
     converse is weaker: a cell can pass every check here and still count
     zero through the arithmetic (m exceeding k, say).
     """
-    k, n, m, lam = cell.k, cell.n, cell.m, cell.lam
+    k, n, m, lam = cell
     violated: list[Constraint] = []
     if k > n and m < k - n + 1:
         # Only n balls can avoid matching, so overflow forces k - n + 1 matches.
@@ -184,6 +210,6 @@ def z_count(cell: SequenceClass) -> Count:
     each at least two.  Every infeasible cell comes out zero through these
     factors, so no separate feasibility check runs.
     """
-    k, n, m, lam = cell.k, cell.n, cell.m, cell.lam
+    k, n, m, lam = cell
     placements = _placements(k, n, m, lam)
     return placements * doubly_surjective_count(m, lam) if placements else 0

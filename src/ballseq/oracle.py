@@ -11,6 +11,10 @@ are dealt round-robin to one process per usable CPU, the extra ones made
 with ``os.fork``, and their tallies are summed.  Each coloring is still
 classified on its own; only the process that counts it changes.  Where
 there is no ``os.fork`` or only one CPU, the whole walk runs in-process.
+
+``BudgetExceeded`` and ``DEFAULT_BUDGET`` are defined in
+:mod:`ballseq.core` and re-exported here.  ``import ballseq`` does not
+load this module; it is loaded on first use of one of its names.
 """
 
 from __future__ import annotations
@@ -19,44 +23,28 @@ import itertools
 import marshal
 import os
 import threading
-from dataclasses import dataclass
 
 from . import core, problems
-from .core import Count, SequenceClass
+from .core import DEFAULT_BUDGET, BudgetExceeded, Count, SequenceClass, _record
 from .problems import DistributionTable
 
-DEFAULT_BUDGET = 10**7
+
+class Coloring(_record("Coloring", "colors n")):
+    """A concrete sequence of palette indices, each in [0, n).  ``colors``
+    may be any iterable; it is stored as a tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, colors: tuple[int, ...], n: int) -> Coloring:
+        colors = tuple(colors)
+        core._require_nonneg(n=n)
+        for c in colors:
+            if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < n:
+                raise ValueError(f"color index {c!r} outside palette [0, {n})")
+        return super().__new__(cls, colors, n)
 
 
-class BudgetExceeded(Exception):
-    """Raised when an enumeration would exceed the coloring budget."""
-
-    def __init__(self, k: int, n: int, budget: int) -> None:
-        self.k = k
-        self.n = n
-        self.budget = budget
-        super().__init__(
-            f"enumerating {n}^{k} colorings exceeds the budget of {budget}"
-        )
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """A concrete sequence of palette indices, each in [0, n)."""
-
-    colors: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "colors", tuple(self.colors))
-        core._require_nonneg(n=self.n)
-        for c in self.colors:
-            if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < self.n:
-                raise ValueError(f"color index {c!r} outside palette [0, {self.n})")
-
-
-@dataclass(frozen=True)
-class ClassStats:
+class ClassStats(_record("ClassStats", "m lam mu distinct")):
     """Repetition statistics of a single coloring.
 
     m counts balls whose color appears on some other ball, lam counts
@@ -65,17 +53,15 @@ class ClassStats:
     Always m = mu + lam and mu = k - distinct.
     """
 
-    m: int
-    lam: int
-    mu: int
-    distinct: int
+    __slots__ = ()
 
 
 def classify(coloring: Coloring) -> ClassStats:
     """Statistics of one coloring, each read off its plain definition."""
-    counts = [0] * coloring.n
+    colors, n = coloring
+    counts = [0] * n
     mu = 0
-    for c in coloring.colors:
+    for c in colors:
         if counts[c]:
             mu += 1
         counts[c] += 1
@@ -130,6 +116,8 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
     """Count the colorings whose first ball takes a color in ``first`` by
     their (m, lam, mu), each read off its literal definition."""
     tally: dict[tuple[int, int, int], int] = {}
+    if k and not first:
+        return tally  # no color for the first ball: no coloring, however long
     counts = [0] * n
     balls = [first] + [range(n)] * (k - 1) if k else []
     for colors in itertools.product(*balls):
@@ -215,6 +203,20 @@ def _split_tally(k: int, n: int, workers: int) -> dict[tuple[int, int, int], int
     return tally
 
 
+def _refuse_over_budget(k: int, n: int, budget: int) -> None:
+    """Raise BudgetExceeded, building nothing, when the walk would pass the
+    budget.  The budget counts colorings, but a one-color palette has one
+    coloring however many balls it holds, and the walk builds it whole; so
+    that coloring is held to max(budget, DEFAULT_BUDGET) balls, which lets
+    a budget of exactly the n^k colorings still walk a short one."""
+    core._require_nonneg(k=k, n=n)
+    if _exceeds_budget(k, n, budget):
+        raise BudgetExceeded(k, n, budget)
+    limit = max(budget, DEFAULT_BUDGET)
+    if n == 1 and k > limit:
+        raise BudgetExceeded(k, n, limit, f"walking one coloring of {k} balls")
+
+
 def enumerate_counts(k: int, n: int, budget: int = DEFAULT_BUDGET) -> DistributionTable:
     """Ground-truth census built by classifying every one of the n^k
     colorings, one at a time.  On a machine with several CPUs a large walk
@@ -222,11 +224,10 @@ def enumerate_counts(k: int, n: int, budget: int = DEFAULT_BUDGET) -> Distributi
     still classifies its colorings literally.
 
     Deliberately ignorant of every closed form it is used to check.
-    Raises BudgetExceeded when n^k > budget rather than truncating.
+    Raises BudgetExceeded when n^k > budget, or when n = 1 and k exceeds
+    both the budget and DEFAULT_BUDGET, rather than truncating.
     """
-    core._require_nonneg(k=k, n=n)
-    if _exceeds_budget(k, n, budget):
-        raise BudgetExceeded(k, n, budget)
+    _refuse_over_budget(k, n, budget)
     workers = _workers(k, n) if k else 1  # the empty coloring has no first ball
     tally = _split_tally(k, n, workers) if workers > 1 else _tally(k, n, range(n))
     by_match_cell: dict[tuple[int, int], Count] = {}
@@ -238,23 +239,26 @@ def enumerate_counts(k: int, n: int, budget: int = DEFAULT_BUDGET) -> Distributi
     return DistributionTable(k, n, by_match_cell, by_repeat_count)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_record("VerificationReport", "k n cells_checked mismatches passed")):
     """Outcome of one formula-versus-enumeration comparison.
 
     Each mismatch is a (cell identifier, formula value, oracle value)
     triple; passed is true exactly when there are none.
     """
 
-    k: int
-    n: int
-    cells_checked: int
-    mismatches: tuple[tuple[str, Count, Count], ...]
-    passed: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.passed != (len(self.mismatches) == 0):
+    def __new__(
+        cls,
+        k: int,
+        n: int,
+        cells_checked: int,
+        mismatches: tuple[tuple[str, Count, Count], ...],
+        passed: bool,
+    ) -> VerificationReport:
+        if passed != (len(mismatches) == 0):
             raise ValueError("passed must mean exactly zero mismatches")
+        return super().__new__(cls, k, n, cells_checked, mismatches, passed)
 
 
 def verify(k: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -262,29 +266,33 @@ def verify(k: int, n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
 
     Covers each (m, lam) cell with m in [0, k] and lam in [0, m // 2], each
     repeat bucket mu in [0, k - 1], and the n^k grand total on both sides.
+    Beyond the enumeration's own refusals, raises BudgetExceeded before any
+    work when those cells and buckets number more than ``budget``.
     """
-    observed = enumerate_counts(k, n, budget)
+    _refuse_over_budget(k, n, budget)
+    # sum(m // 2 + 1 for m in 0..k) = k + 1 + k*k // 4 cells, and k buckets
+    cells_checked = 2 * k + 1 + k * k // 4
+    if cells_checked > budget:
+        raise BudgetExceeded(k, n, budget, f"checking {cells_checked} cells")
+    _, _, by_match_cell, by_repeat_count = enumerate_counts(k, n, budget)
     mismatches: list[tuple[str, Count, Count]] = []
-    cells_checked = 0
     formula_total = 0
     for m in range(k + 1):
         for lam in range(m // 2 + 1):
-            cells_checked += 1
             formula = core.z_count(SequenceClass(k, n, m, lam))
             formula_total += formula
-            enumerated = observed.by_match_cell.get((m, lam), 0)
+            enumerated = by_match_cell.get((m, lam), 0)
             if formula != enumerated:
                 mismatches.append((f"m={m},lambda={lam}", formula, enumerated))
     for mu in range(k):
-        cells_checked += 1
         formula = problems.problem3_repeats_fixed_length(k, n, mu)
-        enumerated = observed.by_repeat_count.get(mu, 0)
+        enumerated = by_repeat_count.get(mu, 0)
         if formula != enumerated:
             mismatches.append((f"mu={mu}", formula, enumerated))
     total = n**k
     if formula_total != total:
         mismatches.append(("total:formula", formula_total, total))
-    enumerated_total = sum(observed.by_match_cell.values())
+    enumerated_total = sum(by_match_cell.values())
     if enumerated_total != total:
         mismatches.append(("total:oracle", total, enumerated_total))
     return VerificationReport(k, n, cells_checked, tuple(mismatches), not mismatches)

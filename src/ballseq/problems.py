@@ -16,28 +16,24 @@ the sum over lengths into one polynomial per lam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-from .core import Count, _placements, _require_nonneg, _slack_diagonals
+from .core import Count, _placements, _record, _require_nonneg, _slack_diagonals
 
 
-@dataclass
-class DistributionTable:
+class DistributionTable(_record("DistributionTable", "k n by_match_cell by_repeat_count")):
     """Sparse census of all n^k colorings of k positions.
 
     ``by_match_cell`` maps (m, lam) to the number of colorings with exactly
     m matched balls and lam repeated colors; ``by_repeat_count`` maps mu to
     the number of colorings with exactly mu repeats after first occurrence.
     Cells counting zero are omitted.  The repeat view has no bucket for the
-    empty sequence, so it is {} when k = 0.
+    empty sequence, so it is {} when k = 0.  The fields cannot be
+    reassigned, but the two dicts are plain dicts; the table is unhashable.
     """
 
-    k: int
-    n: int
-    by_match_cell: dict[tuple[int, int], Count]
-    by_repeat_count: dict[int, Count]
+    __slots__ = ()
 
 
 # Each cache entry holds at most top + 1 integers; the bound keeps a

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -270,13 +274,17 @@ def test_no_command_exits_one(capsys):
 
 # ----------------------------------------------------------- other failures
 
-def test_unrepresentable_shape_exits_four(capsys):
-    # One coloring of 10^20 balls fits any budget, but no walk can hold it.
-    code, out, err = run(capsys, "verify", "--k", "100000000000000000000", "--n", "1")
-    assert code == 4
-    assert out == ""
-    assert err.startswith("error: OverflowError: ")
-    assert err.count("\n") == 1
+def test_huge_degenerate_shapes_exit_three(capsys):
+    # One coloring of k balls (n = 1), or none at all (n = 0), fits any
+    # coloring budget; the walk's length or the k^2/4 cells to check do not.
+    for k, n in [(10**20, 1), (10**20, 0), (2 * 10**7, 1), (20000, 1)]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--k", str(k), "--n", str(n))
+        assert time.perf_counter() - start < 0.5, (k, n)
+        assert code == 3, (k, n, err)
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(" exceeds the budget of 10000000\n")
+        assert err.count("\n") == 1
 
 
 def test_unexpected_exception_exits_four(capsys, monkeypatch):
@@ -289,3 +297,30 @@ def test_unexpected_exception_exits_four(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: RuntimeError: enumerating 4^6 colorings failed:"
                    " worker 1 exited with status 1\n")
+
+
+# ---------------------------------------------------------------- cold start
+
+def test_cold_start_loads_no_oracle_json_or_dataclasses():
+    # A fresh interpreter, since this one has long since loaded everything.
+    script = """
+import sys
+import ballseq.cli
+print(sorted(m for m in ("dataclasses", "inspect", "json", "ballseq.oracle") if m in sys.modules))
+namespace = {}
+exec("from ballseq import *", namespace)
+import ballseq
+print(sorted(set(ballseq.__all__) - set(namespace)))
+print(ballseq.BudgetExceeded is ballseq.oracle.BudgetExceeded is ballseq.core.BudgetExceeded)
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n[]\nTrue\n"

@@ -176,6 +176,29 @@ def test_enumerate_budget_on_degenerate_palettes():
     assert enumerate_counts(3, 0, budget=0).by_match_cell == {}
 
 
+def test_enumerate_refuses_long_one_color_walks_cheaply():
+    # A one-color palette has one coloring, but walking it visits k balls.
+    for k in (10**20, 2 * 10**7, 10**7 + 1):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerate_counts(k, 1)
+        assert time.perf_counter() - start < 0.5
+        assert str(exc.value) == f"walking one coloring of {k} balls exceeds the budget of 10000000"
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_counts(3 * 10**7, 1, budget=2 * 10**7)
+    assert exc.value.budget == 2 * 10**7
+    # A budget of exactly the one coloring still walks a short one.
+    assert enumerate_counts(6, 1, budget=1).by_match_cell == {(6, 1): 1}
+
+
+def test_enumerate_empty_palette_walks_nothing():
+    # No color for the first ball means no coloring, however many balls.
+    start = time.perf_counter()
+    table = enumerate_counts(10**20, 0)
+    assert time.perf_counter() - start < 0.5
+    assert table.by_match_cell == {} and table.by_repeat_count == {}
+
+
 def test_enumerate_rejects_negative_shape():
     with pytest.raises(ValueError):
         enumerate_counts(-1, 3)
@@ -338,6 +361,25 @@ def test_verify_counts_both_views():
 def test_verify_propagates_budget_refusal():
     with pytest.raises(BudgetExceeded):
         verify(12, 12, budget=1000)
+
+
+def test_verify_refuses_more_cells_than_the_budget_cheaply():
+    # k = 6 has 16 (m, lambda) cells and 6 mu buckets.
+    assert verify(6, 1, budget=22).cells_checked == 22
+    with pytest.raises(BudgetExceeded) as exc:
+        verify(6, 1, budget=21)
+    assert str(exc.value) == "checking 22 cells exceeds the budget of 21"
+    for k, n in [(10**20, 0), (20000, 1), (20000, 0)]:
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            verify(k, n)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_verify_keeps_the_enumeration_refusal_first():
+    with pytest.raises(BudgetExceeded) as exc:
+        verify(7, 1, budget=0)
+    assert str(exc.value) == "enumerating 1^7 colorings exceeds the budget of 0"
 
 
 def test_verify_reports_planted_mismatch(monkeypatch):
