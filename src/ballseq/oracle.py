@@ -1,16 +1,20 @@
 """Exhaustive ground truth for the closed-form counts.
 
-Everything here works by brute force: enumerate all n^k colorings, read
-each one's statistics off its literal definition, and tally.  No closed
-form, no symmetry shortcut, no sampling.  That independence is the point;
-:func:`verify` compares these tallies against the formula side cell by
-cell.  Requests too large to enumerate are refused, never truncated.
+Everything here works by brute force: a depth-first walk places the
+balls one at a time and reaches each of the n^k colorings on its own.  The
+statistics of a coloring are carried ball by ball from its own prefix,
+each ball applying the literal definition to the color it takes, and
+every coloring is tallied.  No closed form, no symmetry shortcut, no
+sampling.  That independence is the point; :func:`verify` compares these
+tallies against the formula side cell by cell.  Requests too large to
+enumerate are refused, never truncated.
 
 A large walk is shared between processes: the colors of the first ball
 are dealt round-robin to one process per usable CPU, the extra ones made
 with ``os.fork``, and their tallies are summed.  Each coloring is still
-classified on its own; only the process that counts it changes.  Where
-there is no ``os.fork`` or only one CPU, the whole walk runs in-process.
+reached and tallied on its own; only the process that counts it changes.
+Where there is no ``os.fork`` or only one CPU, the whole walk runs
+in-process.
 
 ``BudgetExceeded`` and ``DEFAULT_BUDGET`` are defined in
 :mod:`ballseq.core` and re-exported here.  ``import ballseq`` does not
@@ -19,7 +23,6 @@ load this module; it is loaded on first use of one of its names.
 
 from __future__ import annotations
 
-import itertools
 import marshal
 import os
 import threading
@@ -90,9 +93,11 @@ def _exceeds_budget(k: int, n: int, budget: int) -> bool:
     return size > budget
 
 
-# Below this many colorings a fork (about 1.5 ms on a 2-vCPU VM) costs
-# more than the share of the walk it takes off the parent.
-_SPLIT_MIN = 4096
+# Below this many colorings a fork costs more than the share of the walk
+# it takes off the parent.  On a 2-vCPU VM one fork, pipe and reap took
+# about 1.3 ms and the walk 0.02-0.65 us a coloring; 2^16 colorings of the
+# cheapest shapes (k = 2, 3) took 1.6-2.8 ms, about twice the fork.
+_SPLIT_MIN = 65536
 
 
 def _workers(k: int, n: int) -> int:
@@ -114,35 +119,87 @@ def _workers(k: int, n: int) -> int:
 
 def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
     """Count the colorings whose first ball takes a color in ``first`` by
-    their (m, lam, mu), each read off its literal definition."""
+    their (m, lam, mu), walking them depth first without recursion.
+
+    The walk places one ball at a time and carries the count of each color
+    and the (m, lam, mu) of the prefix placed so far, updated by the
+    definitions applied to the ball just placed: a color the prefix holds
+    twice or more adds a matched ball and a repeat; a color it holds once
+    also makes its first ball matched and the color repeated; an unseen
+    color adds nothing.  Taking a ball off undoes its update.  The last
+    ball's loop reaches each coloring of the prefix in turn and tallies it
+    by its own color's count, summed per prefix before it reaches the dict.
+    Beyond ``counts`` the walk holds one color per ball.
+    """
+    if not k:
+        return {(0, 0, 0): 1}  # the empty coloring
     tally: dict[tuple[int, int, int], int] = {}
-    if k and not first:
+    if not first:
         return tally  # no color for the first ball: no coloring, however long
     counts = [0] * n
-    balls = [first] + [range(n)] * (k - 1) if k else []
-    for colors in itertools.product(*balls):
-        mu = 0
-        for c in colors:
-            if counts[c]:
-                mu += 1
-            counts[c] += 1
-        m = 0
-        lam = 0
-        for c in colors:
-            # First visit of each color reads its full tally and resets it,
-            # leaving counts all-zero for the next coloring.
+    before_last = k - 1
+    placed = [0] * before_last  # the color of each ball before the last
+    # The counts the last ball can meet: every color's, or, when it is the
+    # first ball as well, those of the colors in ``first``.
+    last = counts if before_last else [counts[c] for c in first]
+    m = lam = mu = 0
+    depth = 0
+    c = first.start
+    while True:
+        # Place color c, then color 0 on every ball up to the last.
+        while depth < before_last:
             cnt = counts[c]
-            if cnt:
-                counts[c] = 0
-                if cnt >= 2:
-                    m += cnt
-                    lam += 1
-        key = (m, lam, mu)
-        if key in tally:
-            tally[key] += 1
+            if cnt == 1:
+                m += 2
+                lam += 1
+                mu += 1
+            elif cnt:
+                m += 1
+                mu += 1
+            counts[c] = cnt + 1
+            placed[depth] = c
+            depth += 1
+            c = 0
+        unseen = once = more = 0
+        for cnt in last:
+            if not cnt:
+                unseen += 1
+            elif cnt == 1:
+                once += 1
+            else:
+                more += 1
+        if unseen:
+            key = (m, lam, mu)
+            tally[key] = tally.get(key, 0) + unseen
+        if once:
+            key = (m + 2, lam + 1, mu + 1)
+            tally[key] = tally.get(key, 0) + once
+        if more:
+            key = (m + 1, lam, mu + 1)
+            tally[key] = tally.get(key, 0) + more
+        # Take balls off until one can move on to its next color.
+        while depth:
+            depth -= 1
+            c = placed[depth]
+            cnt = counts[c] - 1
+            counts[c] = cnt
+            if cnt == 1:
+                m -= 2
+                lam -= 1
+                mu -= 1
+            elif cnt:
+                m -= 1
+                mu -= 1
+            if depth:
+                c += 1
+                if c < n:
+                    break
+            else:
+                c += first.step
+                if c in first:
+                    break
         else:
-            tally[key] = 1
-    return tally
+            return tally
 
 
 def _tally_in_child(k: int, n: int, first: range, read_end: int, write_end: int) -> None:
@@ -206,7 +263,7 @@ def _split_tally(k: int, n: int, workers: int) -> dict[tuple[int, int, int], int
 def _refuse_over_budget(k: int, n: int, budget: int) -> None:
     """Raise BudgetExceeded, building nothing, when the walk would pass the
     budget.  The budget counts colorings, but a one-color palette has one
-    coloring however many balls it holds, and the walk builds it whole; so
+    coloring however many balls it holds, and the walk places each one; so
     that coloring is held to max(budget, DEFAULT_BUDGET) balls, which lets
     a budget of exactly the n^k colorings still walk a short one."""
     core._require_nonneg(k=k, n=n)
@@ -218,10 +275,11 @@ def _refuse_over_budget(k: int, n: int, budget: int) -> None:
 
 
 def enumerate_counts(k: int, n: int, budget: int = DEFAULT_BUDGET) -> DistributionTable:
-    """Ground-truth census built by classifying every one of the n^k
-    colorings, one at a time.  On a machine with several CPUs a large walk
-    is split by the color of the first ball across forked processes; each
-    still classifies its colorings literally.
+    """Ground-truth census built by reaching every one of the n^k colorings
+    one at a time, each with statistics carried ball by ball from its own
+    prefix by their literal definitions.  On a machine with several CPUs a
+    large walk is split by the color of the first ball across forked
+    processes; each still reaches and tallies its colorings one by one.
 
     Deliberately ignorant of every closed form it is used to check.
     Raises BudgetExceeded when n^k > budget, or when n = 1 and k exceeds

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -262,6 +263,43 @@ def test_small_shapes_never_fork(monkeypatch):
     for k, n in [(0, 5000), (5000, 1), (11, 2), (7, 3), (3, 15), (2, 63)]:
         table = enumerate_counts(k, n)
         assert sum(table.by_match_cell.values()) == n**k, (k, n)
+
+
+# Every k <= 7 and n <= 6 small enough to classify literally, k = 0 and
+# n = 0 included.
+TALLY_SHAPES = [(k, n) for k in range(8) for n in range(7) if n**k <= 2 * 10**5]
+
+
+def _literal_tally(k, n):
+    """(m, lam, mu) of every coloring, each from classify()."""
+    tally = Counter()
+    for colors in itertools.product(range(n), repeat=k):
+        stats = classify(Coloring(colors, n))
+        tally[stats.m, stats.lam, stats.mu] += 1
+    return dict(tally)
+
+
+@pytest.mark.parametrize("k, n", TALLY_SHAPES)
+def test_tally_matches_literal_classification(k, n):
+    full = _literal_tally(k, n)
+    assert oracle._tally(k, n, range(n)) == full
+    if k:  # the empty coloring has no first ball to split by
+        for w in (1, 2, 3):
+            stripes = Counter()
+            for i in range(w):
+                stripes.update(oracle._tally(k, n, range(i, n, w)))
+            assert dict(stripes) == full, w
+
+
+def test_one_color_walk_holds_one_small_int_per_ball():
+    tracemalloc.start()
+    try:
+        table = enumerate_counts(10**5, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.by_match_cell == {(10**5, 1): 1}
+    assert peak <= 2 * 10**6
 
 
 @needs_fork
