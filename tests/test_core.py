@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ballseq import core
 from ballseq.core import (
     Constraint,
     FeasibilityReport,
@@ -173,6 +175,40 @@ def test_doubly_surjective_matches_inclusion_exclusion():
     for m in range(81):
         for lam in range(m // 2 + 1):
             assert doubly_surjective_count(m, lam) == _inclusion_exclusion(m, lam), (m, lam)
+
+
+def _walked(m, lam):
+    """S(m, lam) read straight off the recurrence walk, whichever way
+    doubly_surjective_count would evaluate the cell."""
+    for s, row in enumerate(core._slack_diagonals(m, lam)):
+        if s == m - 2 * lam:
+            return row[lam]
+
+
+def test_doubly_surjective_matches_walk_around_the_rule():
+    # Slack m - 2*lam below lam walks the recurrence; from lam on the
+    # count comes from the alternating sum, which shares no step with it.
+    for lam in range(121):
+        for m in (3 * lam - 1, 3 * lam, 3 * lam + 1):
+            if m >= 2 * lam:
+                assert doubly_surjective_count(m, lam) == _walked(m, lam), (m, lam)
+
+
+@pytest.mark.parametrize(
+    "m, lam",
+    [(2755, 97), (804, 194), (263, 81), (104, 31)] + [(m, 0) for m in (1, 2, 3, 50)],
+)
+def test_doubly_surjective_matches_walk_at_large_and_edge_shapes(m, lam):
+    assert doubly_surjective_count(m, lam) == _walked(m, lam)
+
+
+def test_doubly_surjective_large_slack_is_fast():
+    # The walk takes 263 k big-int steps here (about 0.45 s on a 2-vCPU
+    # VM); the sum takes 100 powers and about 5 k small steps (11 ms).
+    doubly_surjective_count.cache_clear()
+    start = time.perf_counter()
+    doubly_surjective_count(2800, 100)
+    assert time.perf_counter() - start < 0.25
 
 
 # ------------------------------------------------------------- SequenceClass

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ballseq.core import SequenceClass, falling_factorial, z_count
+from ballseq.core import SequenceClass, doubly_surjective_count, falling_factorial, z_count
 from ballseq import problems
 from ballseq.problems import (
     distribution_table,
@@ -355,6 +355,10 @@ def test_problem1_walk_stops_at_the_lambda_it_needs():
 def test_aggregate_caches_are_bounded():
     assert problems._s_column.cache_info().maxsize is not None
     assert problems._s_repeats.cache_info().maxsize is not None
+
+
+def test_single_cell_cache_is_bounded():
+    assert doubly_surjective_count.cache_info().maxsize is not None
 
 
 def test_problems_reject_bools():
