@@ -3,21 +3,29 @@
 Four aggregation flavors: fix the sequence length and count by matched
 balls (problem1) or by repeats-after-first-occurrence (problem3), or sum
 each of those over every length that can realize the statistic (problem2,
-problem4).  Each is a sum over lam of the cells of :mod:`ballseq.core`,
+problem4).
+
+problem1 sums the cells of :mod:`ballseq.core` over lam,
 
     C(n, lam) * C(k, m) * (n - lam)!/(n - lam - k + m)! * S(m, lam),
 
-with every S(m, lam) it needs read from one cached walk of the
-recurrence: the column S(m, lam) for problem1 and problem2, the diagonal
-S(mu + lam, lam) for problem3 and problem4.  The any-length sums also fold
-the sum over lengths into one polynomial per lam.
+with every S(m, lam) read from one cached walk of the column.  The other
+three fold over d, the number of distinct colors a sequence uses, against
+the falling factorial n!/(n - d)!: the d colors in order of first use are
+an injection into the palette, and what is left of the count does not
+depend on n.  Those coefficients are the ordinary Stirling numbers
+S2(d + mu, d) for problem3 and problem4, and a sequence B_m(d) built from
+the column S(m, lam) for problem2.  Each is cached by mu or m alone and
+grown on demand, so a call with a new n reads a prefix of what an earlier
+call built.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate
 
 from .core import Count, _placements, _record, _require_nonneg, _slack_diagonals
 
@@ -55,34 +63,94 @@ def _s_column(m: int, top: int) -> tuple[Count, ...]:
     return tuple(column)
 
 
+# The coefficient caches below hold one slot per mu or m: a one-item list
+# whose item is an immutable snapshot, the sequence so far first.  Readers
+# take the snapshot without a lock; a writer builds a longer one under the
+# lock and replaces it whole, so no thread sees a half-extended sequence.
+_grow_lock = threading.Lock()
+
+
+def _grown(slot: list, key: int, top: int, extend) -> tuple[Count, ...]:
+    """The sequence in ``slot``, with at least top + 1 terms.
+
+    A shorter snapshot is replaced by ``extend(key, snapshot, top)``.  The
+    writer reads the slot again under the lock, so two threads asking for
+    the same terms extend it once.
+    """
+    snapshot = slot[0]
+    if len(snapshot[0]) <= top:
+        with _grow_lock:
+            snapshot = slot[0]
+            if len(snapshot[0]) <= top:
+                snapshot = slot[0] = extend(key, snapshot, top)
+    return snapshot[0]
+
+
 @lru_cache(maxsize=4096)
-def _s_repeats(mu: int, top: int) -> tuple[Count, ...]:
-    """S(mu + lam, lam) for lam = 0..top, where top <= mu.
+def _s2_slot(mu: int) -> list:
+    """Cache slot for S2(d + mu, d): the snapshot (diagonal, column) at
+    d = 0, where column d of the walk is S2(d + e, d) for e = 0..mu.
+    Column 0 is left empty until a walk needs it, so a slot costs O(mu)
+    only once it is walked."""
+    return [((int(mu == 0),), ())]
 
-    S(mu + lam, lam) sits at index lam of the diagonal of slack mu - lam,
-    so the first mu + 1 diagonals of one walk bounded by lam <= top hold
-    them all.
+
+def _s2_walk(mu: int, snapshot: tuple, top: int) -> tuple:
+    """Resume the walk of ``snapshot`` up to column top.
+
+    Classifying by the last ball, which either joins one of the d blocks
+    of the others or starts a block alone, gives
+    S2(d + e, d) = d * S2(d + e - 1, d) + S2(d + e - 1, d - 1): each entry
+    of column d comes from the one above it and its left neighbour in
+    column d - 1.  Each column costs mu steps and only the last is held.
     """
-    diagonals = islice(_slack_diagonals(mu + top, top), mu + 1)
-    return tuple(row[mu - s] for s, row in enumerate(diagonals) if mu - s <= top)[::-1]
+    diagonal, column = snapshot
+    diagonal = list(diagonal)
+    column = column or (1,) + (0,) * mu  # S2(e, 0) = [e = 0]
+    for d in range(len(diagonal), top + 1):
+        column = tuple(accumulate(column, lambda above, left: d * above + left))
+        diagonal.append(column[-1])
+    return tuple(diagonal), column
 
 
-def _lengths(m: int, free: int, top: int) -> Count:
-    """Sum over t = 0..top of C(m + t, t) * free!/(free - t)!, top <= free.
+def _s2_diagonal(mu: int, top: int) -> tuple[Count, ...]:
+    """S2(d + mu, d), the Stirling numbers of the second kind (OEIS A008277),
+    for d = 0..top at least: set partitions of d + mu labeled balls into
+    d blocks."""
+    return _grown(_s2_slot(mu), mu, top, _s2_walk)
 
-    Term t counts the ways to add t unmatched balls to m matched ones in a
-    sequence of m + t positions, coloring them injectively from ``free``
-    colors: the factors of a cell that depend on its length.  Evaluated by
-    Horner's rule in the falling factorial of ``free``, stepping
-    C(m + t, t) down to C(m + t - 1, t - 1) along the way.
+
+@lru_cache(maxsize=4096)
+def _match_slot(m: int) -> list:
+    """Cache slot for B_m: the snapshot (coefficients,), empty at first."""
+    return [((),)]
+
+
+def _match_walk(m: int, snapshot: tuple, top: int) -> tuple:
+    """B_m(d) for d = 0..top, built afresh whatever ``snapshot`` holds:
+    the number of sequences, of any length, that use d given colors with
+    their first uses in a given order and have exactly m matched balls.
+
+    With a_lam = S(m, lam)/lam!, B_m(d) = sum over lam of
+    a_lam * C(m + d - lam, m): the coefficients of a(y) / (1 - y)^(m + 1),
+    so m + 1 running sums of a give them.  Terms with lam > d vanish, so
+    the column stops at min(m // 2, top) and a prefix serves any shorter
+    request.
     """
-    if top < 0:
-        return 0
-    binom = math.comb(m + top, top)
-    total = binom
-    for t in range(top, 0, -1):
-        binom = binom * t // (m + t)
-        total = binom + (free - t + 1) * total
+    lam_top = min(m // 2, top)
+    column = _s_column(m, lam_top)
+    coefficients = [s // math.factorial(lam) for lam, s in enumerate(column)]
+    coefficients += [0] * (top - lam_top)
+    for _ in range(m + 1):
+        coefficients = list(accumulate(coefficients))
+    return (tuple(coefficients),)
+
+
+def _falling_fold(coefficients: tuple[Count, ...], n: int) -> Count:
+    """Sum over d = 0..n of coefficients[d] * n!/(n - d)!, by Horner's rule."""
+    total = 0
+    for d in range(n, -1, -1):
+        total = coefficients[d] + (n - d) * total
     return total
 
 
@@ -112,38 +180,35 @@ def problem2_matches_any_length(n: int, m: int) -> Count:
     keeps the same index pattern, counting injective sequences of lengths
     0 through n - 1.
 
-    For each lam, the length sum runs over the t = k - m unmatched balls,
-    up to n - 1 and up to the n - lam colors left for them; its terms share
-    the factor C(n, lam) * S(m, lam), which is taken out once.
+    A sequence with lam repeated colors and t unmatched balls uses
+    d = lam + t colors.  Given those colors in order of first use, the
+    cell count C(n, lam) * C(k, m) * (n - lam)!/(n - lam - t)! * S(m, lam)
+    leaves S(m, lam)/lam! * C(m + t, m) ways, and summed over lam that is
+    B_m(d).  So the count is the sum over d = 0..n of
+    B_m(d) * n!/(n - d)!, less the one term with t = n, which has m = 0
+    and lam = 0 and counts the n! injective sequences of length n.  B_m is
+    cached by m alone.
     """
     _require_nonneg(n=n, m=m)
-    top = min(m // 2, n)
-    column = _s_column(m, top)
-    return sum(
-        math.comb(n, lam) * column[lam] * _lengths(m, n - lam, min(n - 1, n - lam))
-        for lam in range(top + 1)
-    )
+    total = _falling_fold(_grown(_match_slot(m), m, n, _match_walk), n)
+    return total - math.factorial(n) if m == 0 else total
 
 
 def problem3_repeats_fixed_length(k: int, n: int, mu: int) -> Count:
     """Sequences of length k over n colors in which exactly mu balls repeat
     a color already seen at an earlier position.
 
-    A sequence with mu repeats spread over lam repeated colors has
-    mu + lam matched balls in total, so the cells (m, lam) = (mu + lam, lam)
-    for lam in [0, mu] partition exactly these sequences.  A cell is empty
-    when mu + lam > k or lam > n, and all are when k - mu > n (the k - mu
-    first occurrences need distinct colors), so the S values come from one
-    walk that stops at the largest lam that can count.
+    Such a sequence uses exactly d = k - mu colors.  Its blocks of equal
+    color partition the k positions into d blocks, and the colors, in
+    order of first use, are an injection into the palette, so the count is
+    S2(k, d) * n!/(n - d)!: zero when d < 0 or d > n.  S2 is read from the
+    diagonal S2(d + mu, d), cached by mu alone.
     """
     _require_nonneg(k=k, n=n, mu=mu)
-    top = min(mu, k - mu, n)
-    if top < 0 or k - mu > n:
+    d = k - mu
+    if d < 0 or d > n:
         return 0
-    diagonal = _s_repeats(mu, top)
-    return sum(
-        _placements(k, n, mu + lam, lam) * diagonal[lam] for lam in range(top + 1)
-    )
+    return _s2_diagonal(mu, d)[d] * math.perm(n, d)
 
 
 def problem4_repeats_any_length(n: int, mu: int) -> Count:
@@ -154,20 +219,14 @@ def problem4_repeats_any_length(n: int, mu: int) -> Count:
     mu = 0 this counts the injective sequences of lengths 1 through n; the
     empty sequence is excluded by convention.
 
-    For each lam <= min(mu, n), the length sum runs over every number of
-    unmatched balls the n - lam colors left can take, with the factor
-    C(n, lam) * S(mu + lam, lam) taken out once.  That sum also reaches
-    length mu at lam = 0, which holds a sequence only when mu = 0: the
-    empty one, taken off at the end.
+    The length d + mu holds S2(d + mu, d) * n!/(n - d)! such sequences, as
+    in problem3, so the count is one fold over d = 1..n of the diagonal
+    cached for mu.  The fold starts at d = 0, whose term S2(mu, 0) is 1
+    for the empty sequence alone, and takes that term off at the end.
     """
     _require_nonneg(n=n, mu=mu)
-    top = min(mu, n)
-    diagonal = _s_repeats(mu, top)
-    total = sum(
-        math.comb(n, lam) * diagonal[lam] * _lengths(mu + lam, n - lam, n - lam)
-        for lam in range(top + 1)
-    )
-    return total - (mu == 0)
+    diagonal = _s2_diagonal(mu, n)
+    return _falling_fold(diagonal, n) - diagonal[0]
 
 
 def distribution_table(k: int, n: int) -> DistributionTable:

@@ -186,10 +186,12 @@ def _walked(m, lam):
 
 
 def test_doubly_surjective_matches_walk_around_the_rule():
-    # Slack m - 2*lam below lam walks the recurrence; from lam on the
-    # count comes from the alternating sum, which shares no step with it.
+    # m below 2.8 * lam walks the recurrence; from there on the count comes
+    # from the alternating sum, which shares no step with it.  The points
+    # around 3 * lam sit where the rule stood before; they stay.
     for lam in range(121):
-        for m in (3 * lam - 1, 3 * lam, 3 * lam + 1):
+        rule = 14 * lam // 5
+        for m in (rule - 1, rule, rule + 1, 3 * lam - 1, 3 * lam, 3 * lam + 1):
             if m >= 2 * lam:
                 assert doubly_surjective_count(m, lam) == _walked(m, lam), (m, lam)
 

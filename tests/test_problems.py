@@ -1,6 +1,10 @@
 """Tests for the aggregate problems and distribution tables."""
 
+import math
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -342,6 +346,136 @@ def test_problems_match_reference_at_edges_and_large(problem, args):
     assert problem(*args) == REFERENCES[problem](*args)
 
 
+# ------------------------------------- folds over the number of colors used
+
+def _clear_aggregate_caches():
+    problems._s_column.cache_clear()
+    problems._s2_slot.cache_clear()
+    problems._match_slot.cache_clear()
+
+
+def _stirling2(total, d):
+    """S2(total, d) from the explicit alternating sum over the colors left
+    out, sharing nothing with the walk."""
+    surjections = sum(
+        (-1) ** j * math.comb(d, j) * (d - j) ** total for j in range(d + 1)
+    )
+    return surjections // math.factorial(d)
+
+
+def test_s2_diagonal_matches_explicit_sum():
+    for mu in range(41):
+        diagonal = problems._s2_diagonal(mu, 60)
+        for d in range(61):
+            assert diagonal[d] == _stirling2(d + mu, d), (mu, d)
+    assert problems._s2_diagonal(80, 220)[220] == _stirling2(300, 220)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    walk = getattr(problems, name)
+    monkeypatch.setattr(problems, name, lambda *args: calls.append(args) or walk(*args))
+    return calls
+
+
+def test_shorter_requests_reuse_the_cached_prefix(monkeypatch):
+    _clear_aggregate_caches()
+    s2_walks = _count_calls(monkeypatch, "_s2_walk")
+    match_walks = _count_calls(monkeypatch, "_match_walk")
+    for key in (0, 1, 7, 30):
+        problem4_repeats_any_length(60, key)
+        problem2_matches_any_length(60, key)
+    assert len(s2_walks) == 4
+    assert len(match_walks) == 4
+    for key in (0, 1, 7, 30):
+        for n in range(60):
+            assert problem4_repeats_any_length(n, key) == reference_problem4(n, key)
+            assert problem2_matches_any_length(n, key) == reference_problem2(n, key)
+        for k in range(key, key + 61):
+            for n in (k - key, 60):
+                expected = reference_problem3(k, n, key)
+                assert problem3_repeats_fixed_length(k, n, key) == expected
+    assert len(s2_walks) == 4
+    assert len(match_walks) == 4
+
+
+def _problem4_by_lengths(n, mu):
+    """problem4 in the associated-Stirling form, as reference_problem4 has
+    it, but with each length sum stepped term by term: C(n, lam) *
+    S(mu + lam, lam) times the sum over t unmatched balls of
+    C(mu + lam + t, t) * (n - lam)!/(n - lam - t)!.  The cell-by-cell
+    reference takes seconds at n = 3000."""
+    total = 0
+    for lam in range(min(mu, n) + 1):
+        m, free = mu + lam, n - lam
+        term = lengths = 1
+        for t in range(free):
+            term = term * (m + t + 1) * (free - t) // (t + 1)
+            lengths += term
+        total += math.comb(n, lam) * doubly_surjective_count(m, lam) * lengths
+    return total - (mu == 0)
+
+
+def test_problem4_by_lengths_matches_reference():
+    for n in range(25):
+        for mu in range(25):
+            assert _problem4_by_lengths(n, mu) == reference_problem4(n, mu), (n, mu)
+
+
+def test_threads_extending_one_cache_agree_with_the_reference(monkeypatch):
+    # Eight threads step n up together on one mu and m, with a barrier
+    # before each step, so all of them ask for the same longer prefix at
+    # once.  A column of S2(d + 1500, d) and a B_1500 take long enough for
+    # their walks to overlap.
+    mu = m = 1500
+    top = 16
+    expected = [(_problem4_by_lengths(n, mu), reference_problem2(n, m)) for n in range(top)]
+    _clear_aggregate_caches()
+    s2_walks = _count_calls(monkeypatch, "_s2_walk")
+    match_walks = _count_calls(monkeypatch, "_match_walk")
+    barrier = threading.Barrier(8)
+
+    def work():
+        got = []
+        for n in range(top):
+            barrier.wait(timeout=60)
+            got.append((problem4_repeats_any_length(n, mu), problem2_matches_any_length(n, m)))
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work) for _ in range(8)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 8
+    # Each longer prefix was built once, however many threads asked for it.
+    assert len(s2_walks) == top - 1
+    assert len(match_walks) == top
+
+
+@pytest.mark.parametrize(
+    "problem, args, reference",
+    [
+        (problem2_matches_any_length, (10, 3000), reference_problem2),
+        (problem4_repeats_any_length, (10, 3000), reference_problem4),
+        (problem4_repeats_any_length, (3000, 10), _problem4_by_lengths),
+        (problem3_repeats_fixed_length, (3000, 10, 2995), reference_problem3),
+    ],
+    ids=["problem2-10,3000", "problem4-10,3000", "problem4-3000,10", "problem3-3000,10,2995"],
+)
+def test_lopsided_shapes_are_fast_from_cold(problem, args, reference):
+    # Each coefficient walk must stop at the d and lam the query can use:
+    # a B_m built from the whole S(3000, lam) column took seconds.
+    _clear_aggregate_caches()
+    start = time.perf_counter()
+    count = problem(*args)
+    assert time.perf_counter() - start < 1.0
+    assert count == reference(*args)
+
+
 def test_problem1_walk_stops_at_the_lambda_it_needs():
     # n - k + m = 5 caps lam at 5; a walk down the whole S(2995, lam)
     # column would take seconds.
@@ -353,8 +487,19 @@ def test_problem1_walk_stops_at_the_lambda_it_needs():
 
 
 def test_aggregate_caches_are_bounded():
+    # More distinct keys than each bound.  A B_m slot is filled by a walk
+    # of O(m) steps, so the slots are asked for directly; an S2 slot holds
+    # nothing until walked, so problem4 asks for those.
+    problems._s2_slot.cache_clear()
+    problems._match_slot.cache_clear()
+    for key in range(4200):
+        problem4_repeats_any_length(0, key)
+        problems._match_slot(key)
+    for cache in (problems._s2_slot, problems._match_slot):
+        info = cache.cache_info()
+        assert info.maxsize == 4096
+        assert info.currsize <= info.maxsize
     assert problems._s_column.cache_info().maxsize is not None
-    assert problems._s_repeats.cache_info().maxsize is not None
 
 
 def test_single_cell_cache_is_bounded():
