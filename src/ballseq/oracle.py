@@ -3,16 +3,20 @@
 Everything here works by brute force: a depth-first walk places the
 balls one at a time and reaches each of the n^k colorings on its own.  The
 statistics of a coloring are carried ball by ball from its own prefix,
-each ball applying the literal definition to the color it takes, and
-every coloring is tallied.  No closed form, no symmetry shortcut, no
-sampling.  That independence is the point; :func:`verify` compares these
-tallies against the formula side cell by cell.  Requests too large to
-enumerate are refused, never truncated.
+each ball applying the literal definition to the color it takes.  Each
+prefix of k - 1 balls reads every color's count, so each coloring that
+ends it is classified by its own last color's count; the prefix is
+tallied once with those counts, and its colorings are added up after the
+walk.  No closed form, no symmetry shortcut, no sampling.  That
+independence is the point; :func:`verify` compares these tallies against
+the formula side cell by cell.  Requests too large to enumerate are
+refused, never truncated.
 
 A large walk is shared between processes: the colors of the first ball
 are dealt round-robin to one process per usable CPU, the extra ones made
 with ``os.fork``, and their tallies are summed.  Each coloring is still
-reached and tallied on its own; only the process that counts it changes.
+reached and classified on its own; only the process that counts it
+changes.
 Where there is no ``os.fork`` or only one CPU, the whole walk runs
 in-process.
 
@@ -95,8 +99,8 @@ def _exceeds_budget(k: int, n: int, budget: int) -> bool:
 
 # Below this many colorings a fork costs more than the share of the walk
 # it takes off the parent.  On a 2-vCPU VM one fork, pipe and reap took
-# about 1.3 ms and the walk 0.02-0.65 us a coloring; 2^16 colorings of the
-# cheapest shapes (k = 2, 3) took 1.6-2.8 ms, about twice the fork.
+# about 1.2 ms and the walk 0.01-0.4 us a coloring; 2^16 colorings of the
+# cheapest shapes (k = 2, 3) took 0.8-1.8 ms, about one fork.
 _SPLIT_MIN = 65536
 
 
@@ -126,22 +130,29 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
     definitions applied to the ball just placed: a color the prefix holds
     twice or more adds a matched ball and a repeat; a color it holds once
     also makes its first ball matched and the color repeated; an unseen
-    color adds nothing.  Taking a ball off undoes its update.  The last
-    ball's loop reaches each coloring of the prefix in turn and tallies it
-    by its own color's count, summed per prefix before it reaches the dict.
+    color adds nothing.  Taking a ball off undoes its update.
+
+    Each prefix of k - 1 balls reads the count of every color the last
+    ball can take, with ``list.count``: the colorings ending in an unseen
+    color keep the prefix's (m, lam, mu), those ending in a color seen once
+    move to (m + 2, lam + 1, mu + 1), and the rest to (m + 1, lam, mu + 1).
+    The prefix adds 1 to the number of prefixes with its (m, lam, mu) and
+    its unseen and once-seen counts; after the walk each of those keys
+    adds its three groups of colorings, times that number, to the tally.
     Beyond ``counts`` the walk holds one color per ball.
     """
     if not k:
         return {(0, 0, 0): 1}  # the empty coloring
-    tally: dict[tuple[int, int, int], int] = {}
     if not first:
-        return tally  # no color for the first ball: no coloring, however long
+        return {}  # no color for the first ball: no coloring, however long
     counts = [0] * n
     before_last = k - 1
     placed = [0] * before_last  # the color of each ball before the last
     # The counts the last ball can meet: every color's, or, when it is the
     # first ball as well, those of the colors in ``first``.
     last = counts if before_last else [counts[c] for c in first]
+    # (m, lam, mu, unseen, once) of each prefix -> how many prefixes have it
+    prefixes: dict[tuple[int, int, int, int, int], int] = {}
     m = lam = mu = 0
     depth = 0
     c = first.start
@@ -160,23 +171,8 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
             placed[depth] = c
             depth += 1
             c = 0
-        unseen = once = more = 0
-        for cnt in last:
-            if not cnt:
-                unseen += 1
-            elif cnt == 1:
-                once += 1
-            else:
-                more += 1
-        if unseen:
-            key = (m, lam, mu)
-            tally[key] = tally.get(key, 0) + unseen
-        if once:
-            key = (m + 2, lam + 1, mu + 1)
-            tally[key] = tally.get(key, 0) + once
-        if more:
-            key = (m + 1, lam, mu + 1)
-            tally[key] = tally.get(key, 0) + more
+        key = (m, lam, mu, last.count(0), last.count(1))
+        prefixes[key] = prefixes.get(key, 0) + 1
         # Take balls off until one can move on to its next color.
         while depth:
             depth -= 1
@@ -199,7 +195,18 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
                 if c in first:
                     break
         else:
-            return tally
+            break
+    tally: dict[tuple[int, int, int], int] = {}
+    width = len(last)
+    for (m, lam, mu, unseen, once), times in prefixes.items():
+        for cell, colorings in (
+            ((m, lam, mu), unseen),
+            ((m + 2, lam + 1, mu + 1), once),
+            ((m + 1, lam, mu + 1), width - unseen - once),
+        ):
+            if colorings:
+                tally[cell] = tally.get(cell, 0) + colorings * times
+    return tally
 
 
 def _tally_in_child(k: int, n: int, first: range, read_end: int, write_end: int) -> None:
@@ -279,7 +286,7 @@ def enumerate_counts(k: int, n: int, budget: int = DEFAULT_BUDGET) -> Distributi
     one at a time, each with statistics carried ball by ball from its own
     prefix by their literal definitions.  On a machine with several CPUs a
     large walk is split by the color of the first ball across forked
-    processes; each still reaches and tallies its colorings one by one.
+    processes; each still reaches and classifies its colorings one by one.
 
     Deliberately ignorant of every closed form it is used to check.
     Raises BudgetExceeded when n^k > budget, or when n = 1 and k exceeds

@@ -9,15 +9,17 @@ problem1 sums the cells of :mod:`ballseq.core` over lam,
 
     C(n, lam) * C(k, m) * (n - lam)!/(n - lam - k + m)! * S(m, lam),
 
-with every S(m, lam) read from one cached walk of the column.  The other
-three fold over d, the number of distinct colors a sequence uses, against
-the falling factorial n!/(n - d)!: the d colors in order of first use are
-an injection into the palette, and what is left of the count does not
-depend on n.  Those coefficients are the ordinary Stirling numbers
-S2(d + mu, d) for problem3 and problem4, and a sequence B_m(d) built from
-the column S(m, lam) for problem2.  Each is cached by mu or m alone and
-grown on demand, so a call with a new n reads a prefix of what an earlier
-call built.
+which, with N = n - k + m colors left for the matched balls, is
+C(k, m) * n!/N! times the sum over lam of a_lam * N!/(N - lam)!, where
+a_lam = S(m, lam)/lam!.  The other three fold over d, the number of
+distinct colors a sequence uses, against the falling factorial
+n!/(n - d)!: the d colors in order of first use are an injection into the
+palette, and what is left of the count does not depend on n.  Those
+coefficients are the ordinary Stirling numbers S2(d + mu, d) for problem3
+and problem4, and a sequence B_m(d) built from the column a_lam for
+problem2.  Each sequence is cached by mu or m alone, grown on demand and
+folded by Horner's rule, so a call with a new n or k reads a prefix of
+what an earlier call built.
 """
 
 from __future__ import annotations
@@ -44,30 +46,13 @@ class DistributionTable(_record("DistributionTable", "k n by_match_cell by_repea
     __slots__ = ()
 
 
-# Each cache entry holds at most top + 1 integers; the bound keeps a
-# long-running process from holding every line it has ever walked.
-@lru_cache(maxsize=4096)
-def _s_column(m: int, top: int) -> tuple[Count, ...]:
-    """S(m, lam) for lam = 0..top, where top <= m // 2.
-
-    S(m, lam) sits at index lam of the diagonal of slack m - 2*lam, so one
-    walk bounded by lam <= top holds the whole column: about
-    (top + 1) * (m - top + 1) steps, where the full column would take
-    about m^2 / 4.
-    """
-    column = [0] * (top + 1)
-    for s, row in enumerate(_slack_diagonals(m, top)):
-        lam, odd = divmod(m - s, 2)
-        if not odd and lam <= top:
-            column[lam] = row[lam]
-    return tuple(column)
-
-
 # The coefficient caches below hold one slot per mu or m: a one-item list
 # whose item is an immutable snapshot, the sequence so far first.  Readers
 # take the snapshot without a lock; a writer builds a longer one under the
 # lock and replaces it whole, so no thread sees a half-extended sequence.
-_grow_lock = threading.Lock()
+# The lock is reentrant because the walk that extends B_m reads the column
+# of a_lam = S(m, lam)/lam!, which may need extending in turn.
+_grow_lock = threading.RLock()
 
 
 def _grown(slot: list, key: int, top: int, extend) -> tuple[Count, ...]:
@@ -121,6 +106,37 @@ def _s2_diagonal(mu: int, top: int) -> tuple[Count, ...]:
 
 
 @lru_cache(maxsize=4096)
+def _column_slot(m: int) -> list:
+    """Cache slot for a_lam = S(m, lam)/lam!: the snapshot (column,), empty
+    at first."""
+    return [((),)]
+
+
+def _column_walk(m: int, snapshot: tuple, top: int) -> tuple:
+    """a_lam for lam = 0..top, where top <= m // 2, built afresh whatever
+    ``snapshot`` holds: the partitions of m labeled balls into lam blocks
+    of two or more, the associated Stirling numbers of the second kind.
+
+    S(m, lam) sits at index lam of the diagonal of slack m - 2*lam, so one
+    walk bounded by lam <= top holds the whole column: about
+    (top + 1) * (m - top + 1) steps, where the full column would take
+    about m^2 / 4.
+    """
+    column = [0] * (top + 1)
+    for s, row in enumerate(_slack_diagonals(m, top)):
+        lam, odd = divmod(m - s, 2)
+        if not odd and lam <= top:
+            column[lam] = row[lam] // math.factorial(lam)
+    return (tuple(column),)
+
+
+def _partition_column(m: int, top: int) -> tuple[Count, ...]:
+    """a_lam = S(m, lam)/lam! for lam = 0..min(m // 2, top) at least; the
+    column has no more nonzero terms."""
+    return _grown(_column_slot(m), m, min(m // 2, top), _column_walk)
+
+
+@lru_cache(maxsize=4096)
 def _match_slot(m: int) -> list:
     """Cache slot for B_m: the snapshot (coefficients,), empty at first."""
     return [((),)]
@@ -131,25 +147,22 @@ def _match_walk(m: int, snapshot: tuple, top: int) -> tuple:
     the number of sequences, of any length, that use d given colors with
     their first uses in a given order and have exactly m matched balls.
 
-    With a_lam = S(m, lam)/lam!, B_m(d) = sum over lam of
-    a_lam * C(m + d - lam, m): the coefficients of a(y) / (1 - y)^(m + 1),
-    so m + 1 running sums of a give them.  Terms with lam > d vanish, so
-    the column stops at min(m // 2, top) and a prefix serves any shorter
-    request.
+    B_m(d) = sum over lam of a_lam * C(m + d - lam, m): the coefficients
+    of a(y) / (1 - y)^(m + 1), so m + 1 running sums of a give them.
+    Terms with lam > d vanish, so a column read up to lam = top serves.
     """
-    lam_top = min(m // 2, top)
-    column = _s_column(m, lam_top)
-    coefficients = [s // math.factorial(lam) for lam, s in enumerate(column)]
-    coefficients += [0] * (top - lam_top)
+    coefficients = list(_partition_column(m, top)[: top + 1])
+    coefficients += [0] * (top + 1 - len(coefficients))
     for _ in range(m + 1):
         coefficients = list(accumulate(coefficients))
     return (tuple(coefficients),)
 
 
 def _falling_fold(coefficients: tuple[Count, ...], n: int) -> Count:
-    """Sum over d = 0..n of coefficients[d] * n!/(n - d)!, by Horner's rule."""
+    """Sum over d = 0..n of coefficients[d] * n!/(n - d)!, by Horner's rule,
+    where the terms past the end of ``coefficients`` are zero."""
     total = 0
-    for d in range(n, -1, -1):
+    for d in range(min(n, len(coefficients) - 1), -1, -1):
         total = coefficients[d] + (n - d) * total
     return total
 
@@ -158,17 +171,22 @@ def problem1_matches_fixed_length(k: int, n: int, m: int) -> Count:
     """Sequences of length k over n colors with exactly m matched balls,
     summed over every possible number of repeated colors.
 
-    The repeated-color count lam never exceeds m // 2 (two balls minimum
-    per repeated color) nor n - k + m (the unmatched balls need distinct
-    colors of their own), so the sum is clipped to the smaller bound, and
-    S(m, lam) comes from one walk that stops there.
+    With t = k - m unmatched balls and N = n - t colors left for the
+    matched ones, the cell count C(n, lam) * C(k, m) * (n - lam)!/(N - lam)!
+    * S(m, lam) is C(k, m) * n!/N! * a_lam * N!/(N - lam)!, where
+    a_lam = S(m, lam)/lam!: the unmatched balls take t colors in order, and
+    the lam repeated colors come from the N left.  So the count is
+    C(k, m) * n!/N! times a fold over lam of the column a, cached by m
+    alone.  The repeated-color count lam never exceeds m // 2 (two balls
+    minimum per repeated color) nor N, so the column is read, and walked,
+    only that far.
     """
     _require_nonneg(k=k, n=n, m=m)
-    top = min(m // 2, n - k + m)
-    if m > k or top < 0:
+    free = n - k + m
+    if m > k or free < 0:
         return 0
-    column = _s_column(m, top)
-    return sum(_placements(k, n, m, lam) * column[lam] for lam in range(top + 1))
+    column = _partition_column(m, free)
+    return math.comb(k, m) * math.perm(n, k - m) * _falling_fold(column, free)
 
 
 def problem2_matches_any_length(n: int, m: int) -> Count:

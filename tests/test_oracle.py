@@ -257,17 +257,21 @@ def test_split_enumeration_matches_literal_census(monkeypatch, workers):
 
 def test_small_shapes_never_fork(monkeypatch):
     def fork():
-        raise AssertionError("forked for fewer than 4096 colorings")
+        raise AssertionError(f"forked for fewer than {oracle._SPLIT_MIN} colorings")
 
     monkeypatch.setattr(os, "fork", fork, raising=False)
-    for k, n in [(0, 5000), (5000, 1), (11, 2), (7, 3), (3, 15), (2, 63)]:
+    # (5, 9) and (10, 3) have 59,049 colorings, just under the threshold.
+    shapes = [(0, 5000), (5000, 1), (11, 2), (7, 3), (3, 15), (2, 63), (5, 9), (10, 3)]
+    for k, n in shapes:
         table = enumerate_counts(k, n)
         assert sum(table.by_match_cell.values()) == n**k, (k, n)
 
 
 # Every k <= 7 and n <= 6 small enough to classify literally, k = 0 and
-# n = 0 included.
+# n = 0 included, then wide palettes, where the last ball meets hundreds of
+# color counts.
 TALLY_SHAPES = [(k, n) for k in range(8) for n in range(7) if n**k <= 2 * 10**5]
+TALLY_SHAPES += [(1, 500), (2, 300), (3, 45), (4, 14)]
 
 
 def _literal_tally(k, n):

@@ -349,7 +349,7 @@ def test_problems_match_reference_at_edges_and_large(problem, args):
 # ------------------------------------- folds over the number of colors used
 
 def _clear_aggregate_caches():
-    problems._s_column.cache_clear()
+    problems._column_slot.cache_clear()
     problems._s2_slot.cache_clear()
     problems._match_slot.cache_clear()
 
@@ -479,27 +479,43 @@ def test_lopsided_shapes_are_fast_from_cold(problem, args, reference):
 def test_problem1_walk_stops_at_the_lambda_it_needs():
     # n - k + m = 5 caps lam at 5; a walk down the whole S(2995, lam)
     # column would take seconds.
-    problems._s_column.cache_clear()
+    problems._column_slot.cache_clear()
     start = time.perf_counter()
     count = problem1_matches_fixed_length(3000, 10, 2995)
     assert time.perf_counter() - start < 1.0
     assert count == reference_problem1(3000, 10, 2995)
+    assert len(problems._partition_column(2995, 0)) == 6
+
+
+def test_problem1_reads_the_columns_problem2_walked(monkeypatch):
+    # problem2(60, m) walks the whole column of every m <= 60, as the
+    # lib-warm benchmark's warm-up does; problem1 on any k, n <= 60 then
+    # reads a prefix of one of them and walks nothing.
+    _clear_aggregate_caches()
+    for m in range(61):
+        problem2_matches_any_length(60, m)
+    column_walks = _count_calls(monkeypatch, "_column_walk")
+    for k in range(61):
+        for n in range(61):
+            for m in range(k + 1):
+                expected = reference_problem1(k, n, m)
+                assert problem1_matches_fixed_length(k, n, m) == expected, (k, n, m)
+    assert column_walks == []
 
 
 def test_aggregate_caches_are_bounded():
-    # More distinct keys than each bound.  A B_m slot is filled by a walk
-    # of O(m) steps, so the slots are asked for directly; an S2 slot holds
-    # nothing until walked, so problem4 asks for those.
-    problems._s2_slot.cache_clear()
-    problems._match_slot.cache_clear()
+    # More distinct keys than each bound.  A B_m or a_lam slot is filled by
+    # a walk of O(m) steps, so those slots are asked for directly; an S2
+    # slot holds nothing until walked, so problem4 asks for those.
+    _clear_aggregate_caches()
     for key in range(4200):
         problem4_repeats_any_length(0, key)
         problems._match_slot(key)
-    for cache in (problems._s2_slot, problems._match_slot):
+        problems._column_slot(key)
+    for cache in (problems._s2_slot, problems._match_slot, problems._column_slot):
         info = cache.cache_info()
         assert info.maxsize == 4096
         assert info.currsize <= info.maxsize
-    assert problems._s_column.cache_info().maxsize is not None
 
 
 def test_single_cell_cache_is_bounded():
