@@ -22,9 +22,7 @@ from .core import (
     Count,
     FeasibilityReport,
     SequenceClass,
-    binomial,
     doubly_surjective_count,
-    falling_factorial,
     feasibility,
     z_count,
 )
@@ -63,12 +61,10 @@ __all__ = [
     "FeasibilityReport",
     "SequenceClass",
     "VerificationReport",
-    "binomial",
     "classify",
     "distribution_table",
     "doubly_surjective_count",
     "enumerate_counts",
-    "falling_factorial",
     "feasibility",
     "problem1_matches_fixed_length",
     "problem2_matches_any_length",

@@ -70,43 +70,44 @@ def _print_json(record: dict) -> None:
     print(json.dumps(record))
 
 
-def _emit_count(args: argparse.Namespace, query: dict, value: int) -> int:
+def _print_record(args: argparse.Namespace, result, elapsed: float | None = None) -> None:
+    """Print a command's JSON record: its parameters echoed as the query,
+    in flag order, its result and, unless --no-timing, the elapsed time."""
+    query = {"command": args.command, **{dest: getattr(args, dest) for dest in args.params}}
+    record = {"schema_version": SCHEMA_VERSION, "query": query, "result": result}
+    if elapsed is not None and not args.no_timing:
+        record["elapsed_seconds"] = round(elapsed, 6)
+    _print_json(record)
+
+
+# The count commands: name, help, the (flag, help) parameters in the order
+# the function takes them, and the function.  Each parameter's JSON query
+# key is its flag's argparse dest.
+_COUNTS = (
+    ("z", "count one (k, n, m, lambda) cell",
+     (("--k", "sequence length"), ("--n", "palette size"), ("--m", "matched balls"),
+      ("--lambda", "repeated colors")),
+     lambda k, n, m, lam: z_count(SequenceClass(k, n, m, lam))),
+    ("s", "assignments of m balls onto lambda colors, each color twice or more",
+     (("--m", None), ("--lambda", None)), doubly_surjective_count),
+    ("problem1", "length k, exactly m matched balls",
+     (("--k", None), ("--n", None), ("--m", None)), problem1_matches_fixed_length),
+    ("problem2", "any length, exactly m matched balls",
+     (("--n", None), ("--m", None)), problem2_matches_any_length),
+    ("problem3", "length k, exactly mu repeats",
+     (("--k", None), ("--n", None), ("--mu", None)), problem3_repeats_fixed_length),
+    ("problem4", "any length, exactly mu repeats (mu=0 counts lengths 1..n)",
+     (("--n", None), ("--mu", None)), problem4_repeats_any_length),
+)
+
+
+def _run_count(args: argparse.Namespace) -> int:
+    value = args.count(*(getattr(args, dest) for dest in args.params))
     if args.format == "json":
-        record = {"schema_version": SCHEMA_VERSION, "query": query, "result": str(value)}
-        _print_json(record)
+        _print_record(args, str(value))
     else:
         print(value)
     return EXIT_OK
-
-
-def _run_z(args: argparse.Namespace) -> int:
-    query = {"command": "z", "k": args.k, "n": args.n, "m": args.m, "lambda": args.lam}
-    return _emit_count(args, query, z_count(SequenceClass(args.k, args.n, args.m, args.lam)))
-
-
-def _run_s(args: argparse.Namespace) -> int:
-    query = {"command": "s", "m": args.m, "lambda": args.lam}
-    return _emit_count(args, query, doubly_surjective_count(args.m, args.lam))
-
-
-def _run_problem1(args: argparse.Namespace) -> int:
-    query = {"command": "problem1", "k": args.k, "n": args.n, "m": args.m}
-    return _emit_count(args, query, problem1_matches_fixed_length(args.k, args.n, args.m))
-
-
-def _run_problem2(args: argparse.Namespace) -> int:
-    query = {"command": "problem2", "n": args.n, "m": args.m}
-    return _emit_count(args, query, problem2_matches_any_length(args.n, args.m))
-
-
-def _run_problem3(args: argparse.Namespace) -> int:
-    query = {"command": "problem3", "k": args.k, "n": args.n, "mu": args.mu}
-    return _emit_count(args, query, problem3_repeats_fixed_length(args.k, args.n, args.mu))
-
-
-def _run_problem4(args: argparse.Namespace) -> int:
-    query = {"command": "problem4", "n": args.n, "mu": args.mu}
-    return _emit_count(args, query, problem4_repeats_any_length(args.n, args.mu))
 
 
 def _run_table(args: argparse.Namespace) -> int:
@@ -173,14 +174,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     report = oracle.verify(args.k, args.n, args.budget)
     elapsed = time.perf_counter() - start
     if args.format == "json":
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "query": {"command": "verify", "k": args.k, "n": args.n, "budget": args.budget},
-            "result": _report_json(report),
-        }
-        if not args.no_timing:
-            record["elapsed_seconds"] = round(elapsed, 6)
-        _print_json(record)
+        _print_record(args, _report_json(report), elapsed)
     else:
         lines = _report_lines(report)
         if not args.no_timing:
@@ -217,25 +211,14 @@ def _run_verify_range(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     all_passed = failed == 0
     if args.format == "json":
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "query": {
-                "command": "verify-range",
-                "max_k": args.max_k,
-                "max_n": args.max_n,
-                "budget": args.budget,
-            },
-            "result": {
-                "pairs": pair_records,
-                "pairs_passed": passed,
-                "pairs_failed": failed,
-                "pairs_skipped": skipped,
-                "passed": all_passed,
-            },
+        result = {
+            "pairs": pair_records,
+            "pairs_passed": passed,
+            "pairs_failed": failed,
+            "pairs_skipped": skipped,
+            "passed": all_passed,
         }
-        if not args.no_timing:
-            record["elapsed_seconds"] = round(elapsed, 6)
-        _print_json(record)
+        _print_record(args, result, elapsed)
     else:
         summary = (
             f"checked {passed + failed} pairs:"
@@ -247,84 +230,43 @@ def _run_verify_range(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_MISMATCH
 
 
-def _add_format(sub: argparse.ArgumentParser, choices: tuple[str, ...], default: str) -> None:
-    sub.add_argument("--format", choices=choices, default=default)
+def _add_command(subs, name: str, summary: str, params, handler, formats: tuple[str, ...],
+                 budget_help: str | None = None) -> argparse.ArgumentParser:
+    """One subcommand: a required non-negative integer per (flag, help)
+    parameter, then, given budget_help, --budget and --no-timing, then
+    --format, whose first choice is the default.  The handler finds the
+    parameters' dests, in flag order, as args.params."""
+    sub = subs.add_parser(name, help=summary)
+    dests = []
+    for flag, flag_help in params:
+        metavar = "LAM" if flag == "--lambda" else None
+        dests.append(sub.add_argument(flag, type=_nonneg, required=True, help=flag_help,
+                                      metavar=metavar).dest)
+    if budget_help:
+        sub.add_argument("--budget", type=_nonneg, default=DEFAULT_BUDGET, help=budget_help)
+        sub.add_argument("--no-timing", action="store_true",
+                         help="omit elapsed time for byte-identical output")
+        dests.append("budget")
+    sub.add_argument("--format", choices=formats, default=formats[0])
+    sub.set_defaults(handler=handler, params=dests)
+    return sub
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ballseq", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    z = subs.add_parser("z", help="count one (k, n, m, lambda) cell")
-    z.add_argument("--k", type=_nonneg, required=True, help="sequence length")
-    z.add_argument("--n", type=_nonneg, required=True, help="palette size")
-    z.add_argument("--m", type=_nonneg, required=True, help="matched balls")
-    z.add_argument("--lambda", dest="lam", type=_nonneg, required=True,
-                   help="repeated colors")
-    _add_format(z, ("plain", "json"), "plain")
-    z.set_defaults(handler=_run_z)
-
-    s = subs.add_parser("s", help="assignments of m balls onto lambda colors, each color twice or more")
-    s.add_argument("--m", type=_nonneg, required=True)
-    s.add_argument("--lambda", dest="lam", type=_nonneg, required=True)
-    _add_format(s, ("plain", "json"), "plain")
-    s.set_defaults(handler=_run_s)
-
-    p1 = subs.add_parser("problem1", help="length k, exactly m matched balls")
-    p1.add_argument("--k", type=_nonneg, required=True)
-    p1.add_argument("--n", type=_nonneg, required=True)
-    p1.add_argument("--m", type=_nonneg, required=True)
-    _add_format(p1, ("plain", "json"), "plain")
-    p1.set_defaults(handler=_run_problem1)
-
-    p2 = subs.add_parser("problem2", help="any length, exactly m matched balls")
-    p2.add_argument("--n", type=_nonneg, required=True)
-    p2.add_argument("--m", type=_nonneg, required=True)
-    _add_format(p2, ("plain", "json"), "plain")
-    p2.set_defaults(handler=_run_problem2)
-
-    p3 = subs.add_parser("problem3", help="length k, exactly mu repeats")
-    p3.add_argument("--k", type=_nonneg, required=True)
-    p3.add_argument("--n", type=_nonneg, required=True)
-    p3.add_argument("--mu", type=_nonneg, required=True)
-    _add_format(p3, ("plain", "json"), "plain")
-    p3.set_defaults(handler=_run_problem3)
-
-    p4 = subs.add_parser("problem4",
-                         help="any length, exactly mu repeats (mu=0 counts lengths 1..n)")
-    p4.add_argument("--n", type=_nonneg, required=True)
-    p4.add_argument("--mu", type=_nonneg, required=True)
-    _add_format(p4, ("plain", "json"), "plain")
-    p4.set_defaults(handler=_run_problem4)
-
-    table = subs.add_parser("table", help="full distribution table for (k, n)")
-    table.add_argument("--k", type=_nonneg, required=True)
-    table.add_argument("--n", type=_nonneg, required=True)
-    _add_format(table, ("tsv", "json"), "tsv")
-    table.set_defaults(handler=_run_table)
-
-    verify = subs.add_parser("verify", help="compare formulas against enumeration for one (k, n)")
-    verify.add_argument("--k", type=_nonneg, required=True)
-    verify.add_argument("--n", type=_nonneg, required=True)
-    verify.add_argument("--budget", type=_nonneg, default=DEFAULT_BUDGET,
-                        help="max colorings to enumerate, and max cells to check"
-                        " (default %(default)s)")
-    verify.add_argument("--no-timing", action="store_true",
-                        help="omit elapsed time for byte-identical output")
-    _add_format(verify, ("text", "json"), "text")
-    verify.set_defaults(handler=_run_verify)
-
-    vrange = subs.add_parser("verify-range",
-                             help="verify every (k, n) pair up to the given bounds")
-    vrange.add_argument("--max-k", type=_nonneg, required=True)
-    vrange.add_argument("--max-n", type=_nonneg, required=True)
-    vrange.add_argument("--budget", type=_nonneg, default=DEFAULT_BUDGET,
-                        help="per-pair cap on colorings and cells; pairs over it are skipped")
-    vrange.add_argument("--no-timing", action="store_true",
-                        help="omit elapsed time for byte-identical output")
-    _add_format(vrange, ("text", "json"), "text")
-    vrange.set_defaults(handler=_run_verify_range)
-
+    for name, summary, params, count in _COUNTS:
+        sub = _add_command(subs, name, summary, params, _run_count, ("plain", "json"))
+        sub.set_defaults(count=count)
+    k_n = (("--k", None), ("--n", None))
+    _add_command(subs, "table", "full distribution table for (k, n)", k_n, _run_table,
+                 ("tsv", "json"))
+    _add_command(subs, "verify", "compare formulas against enumeration for one (k, n)", k_n,
+                 _run_verify, ("text", "json"),
+                 "max colorings to enumerate, and max cells to check (default %(default)s)")
+    _add_command(subs, "verify-range", "verify every (k, n) pair up to the given bounds",
+                 (("--max-k", None), ("--max-n", None)), _run_verify_range, ("text", "json"),
+                 "per-pair cap on colorings and cells; pairs over it are skipped")
     return parser
 
 
@@ -355,6 +297,8 @@ def run(argv: list[str] | None = None) -> int:
         except _UsageError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_USAGE
+        except SystemExit as exit_:  # argparse's exit after printing --help
+            return exit_.code
         try:
             return args.handler(args)
         except BudgetExceeded as err:

@@ -96,26 +96,6 @@ class FeasibilityReport(_record("FeasibilityReport", "feasible violated_constrai
         return super().__new__(cls, feasible, violated_constraints)
 
 
-def binomial(a: int, b: int) -> Count:
-    """Number of b-subsets of an a-set; zero whenever b < 0 or b > a."""
-    if a < 0:
-        raise ValueError("a must be non-negative")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
-def falling_factorial(a: int, t: int) -> Count:
-    """Descending product a * (a - 1) * ... * (a - t + 1).
-
-    This is the number of injections from a t-set into an a-set: 1 for the
-    empty product t = 0, and 0 as soon as t > a.
-    """
-    if a < 0 or t < 0:
-        raise ValueError("arguments must be non-negative")
-    return math.perm(a, t)
-
-
 def _slack_diagonals(m_max: int, lam_max: int) -> Iterator[list[Count]]:
     """Walk the S(m, lam) grid for m <= m_max and lam <= lam_max one
     diagonal of constant slack s = m - 2*lam at a time.

@@ -55,16 +55,19 @@ class DistributionTable(_record("DistributionTable", "k n by_match_cell by_repea
 _grow_lock = threading.RLock()
 
 
-def _grown(slot: list, key: int, top: int, extend) -> tuple[Count, ...]:
-    """The sequence in ``slot``, with at least top + 1 terms.
+def _grown(slot_of, key: int, top: int, extend) -> tuple[Count, ...]:
+    """The sequence in the slot ``slot_of(key)``, with at least top + 1 terms.
 
     A shorter snapshot is replaced by ``extend(key, snapshot, top)``.  The
-    writer reads the slot again under the lock, so two threads asking for
-    the same terms extend it once.
+    writer asks ``slot_of`` for the slot again under the lock, where the
+    call is a cache hit: two threads that missed the cache at once may each
+    have been handed a fresh slot, but only the cached one is extended, so
+    two threads asking for the same terms extend it once.
     """
-    snapshot = slot[0]
+    snapshot = slot_of(key)[0]
     if len(snapshot[0]) <= top:
         with _grow_lock:
+            slot = slot_of(key)
             snapshot = slot[0]
             if len(snapshot[0]) <= top:
                 snapshot = slot[0] = extend(key, snapshot, top)
@@ -102,7 +105,7 @@ def _s2_diagonal(mu: int, top: int) -> tuple[Count, ...]:
     """S2(d + mu, d), the Stirling numbers of the second kind (OEIS A008277),
     for d = 0..top at least: set partitions of d + mu labeled balls into
     d blocks."""
-    return _grown(_s2_slot(mu), mu, top, _s2_walk)
+    return _grown(_s2_slot, mu, top, _s2_walk)
 
 
 @lru_cache(maxsize=4096)
@@ -133,7 +136,7 @@ def _column_walk(m: int, snapshot: tuple, top: int) -> tuple:
 def _partition_column(m: int, top: int) -> tuple[Count, ...]:
     """a_lam = S(m, lam)/lam! for lam = 0..min(m // 2, top) at least; the
     column has no more nonzero terms."""
-    return _grown(_column_slot(m), m, min(m // 2, top), _column_walk)
+    return _grown(_column_slot, m, min(m // 2, top), _column_walk)
 
 
 @lru_cache(maxsize=4096)
@@ -208,7 +211,7 @@ def problem2_matches_any_length(n: int, m: int) -> Count:
     cached by m alone.
     """
     _require_nonneg(n=n, m=m)
-    total = _falling_fold(_grown(_match_slot(m), m, n, _match_walk), n)
+    total = _falling_fold(_grown(_match_slot, m, n, _match_walk), n)
     return total - math.factorial(n) if m == 0 else total
 
 

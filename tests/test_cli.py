@@ -69,7 +69,7 @@ def test_count_json_uses_decimal_strings(capsys):
     assert code == 0
     record = json.loads(out)
     value = int(record["result"])
-    assert value == core.falling_factorial(40, 40)
+    assert value == math.perm(40, 40)
     assert str(value) == record["result"]
 
 

@@ -14,79 +14,12 @@ from ballseq.core import (
     Constraint,
     FeasibilityReport,
     SequenceClass,
-    binomial,
     doubly_surjective_count,
-    falling_factorial,
     feasibility,
     z_count,
 )
 
 small = st.integers(min_value=0, max_value=30)
-
-
-# ---------------------------------------------------------------- binomial
-
-def test_binomial_known_values():
-    assert binomial(5, 2) == 10
-    assert binomial(4, 0) == 1
-    assert binomial(3, 5) == 0
-    assert binomial(0, 0) == 1
-
-
-def test_binomial_total_outside_range():
-    assert binomial(5, -1) == 0
-    assert binomial(5, 6) == 0
-    assert binomial(0, 1) == 0
-
-
-def test_binomial_rejects_negative_a():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-@given(a=small, b=st.integers(min_value=-5, max_value=35))
-def test_binomial_matches_factorial_definition(a, b):
-    if 0 <= b <= a:
-        expected = math.factorial(a) // (math.factorial(b) * math.factorial(a - b))
-    else:
-        expected = 0
-    assert binomial(a, b) == expected
-
-
-@given(a=st.integers(min_value=1, max_value=30), b=st.integers(min_value=0, max_value=30))
-def test_binomial_pascal_rule(a, b):
-    assert binomial(a, b) == binomial(a - 1, b - 1) + binomial(a - 1, b)
-
-
-@given(a=small)
-def test_binomial_row_sums_to_power_of_two(a):
-    assert sum(binomial(a, b) for b in range(a + 1)) == 2**a
-
-
-# ------------------------------------------------------- falling factorial
-
-def test_falling_factorial_known_values():
-    assert falling_factorial(5, 3) == 60
-    assert falling_factorial(7, 0) == 1
-    assert falling_factorial(2, 4) == 0
-    assert falling_factorial(0, 0) == 1
-
-
-def test_falling_factorial_rejects_negatives():
-    with pytest.raises(ValueError):
-        falling_factorial(-1, 2)
-    with pytest.raises(ValueError):
-        falling_factorial(3, -1)
-
-
-@given(a=small, t=small)
-def test_falling_factorial_counts_injections(a, t):
-    assert falling_factorial(a, t) == binomial(a, t) * math.factorial(t)
-
-
-@given(a=st.integers(min_value=1, max_value=30), t=st.integers(min_value=1, max_value=30))
-def test_falling_factorial_peels_one_term(a, t):
-    assert falling_factorial(a, t) == a * falling_factorial(a - 1, t - 1)
 
 
 # ---------------------------------------------- doubly-surjective counting
@@ -152,7 +85,7 @@ def test_doubly_surjective_splits_off_last_color():
     for m in range(2, 16):
         for lam in range(1, m // 2 + 1):
             recursed = sum(
-                binomial(m, j) * doubly_surjective_count(m - j, lam - 1)
+                math.comb(m, j) * doubly_surjective_count(m - j, lam - 1)
                 for j in range(2, m + 1)
             )
             assert doubly_surjective_count(m, lam) == recursed
@@ -329,7 +262,7 @@ def test_z_count_no_matches_counts_injections():
     # The m = 0 column is the injective colorings: n falling k of them.
     for n in range(8):
         for k in range(8):
-            expected = falling_factorial(n, k) if k <= n else 0
+            expected = math.perm(n, k) if k <= n else 0
             assert z_count(SequenceClass(k, n, 0, 0)) == expected
 
 

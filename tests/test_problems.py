@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ballseq.core import SequenceClass, doubly_surjective_count, falling_factorial, z_count
+from ballseq.core import SequenceClass, doubly_surjective_count, z_count
 from ballseq import problems
 from ballseq.problems import (
     distribution_table,
@@ -70,7 +70,7 @@ def test_problem3_no_repeats_counts_injections():
 def test_problem4_zero_repeats_excludes_empty_sequence():
     # Lengths 1..n of injective sequences; the k = 0 term is not summed.
     for n in range(1, 7):
-        expected = sum(falling_factorial(n, k) for k in range(1, n + 1))
+        expected = sum(math.perm(n, k) for k in range(1, n + 1))
         assert problem4_repeats_any_length(n, 0) == expected
 
 
@@ -454,6 +454,47 @@ def test_threads_extending_one_cache_agree_with_the_reference(monkeypatch):
     # Each longer prefix was built once, however many threads asked for it.
     assert len(s2_walks) == top - 1
     assert len(match_walks) == top
+
+
+def test_threads_missing_one_slot_at_once_walk_it_once(monkeypatch):
+    # Eight fresh threads behind a barrier ask for B_40 and then
+    # S2(d + 40, d) on cleared caches, so they miss _match_slot and
+    # _s2_slot together.  Each key must still be walked once: a thread
+    # that got a slot of its own from the factory would walk it from
+    # empty.  The race is narrow, so it is tried many times with a short
+    # switch interval.
+    trials = 1000
+    expected = (reference_problem2(2, 40), reference_problem4(2, 40))
+    match_walks = _count_calls(monkeypatch, "_match_walk")
+    s2_walks = _count_calls(monkeypatch, "_s2_walk")
+    walked_twice = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(trials):
+            _clear_aggregate_caches()
+            match_walks.clear()
+            s2_walks.clear()
+            barrier = threading.Barrier(8)
+            results = []
+
+            def work():
+                barrier.wait(timeout=60)
+                results.append(
+                    (problem2_matches_any_length(2, 40), problem4_repeats_any_length(2, 40))
+                )
+
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert results == [expected] * 8
+            if (len(match_walks), len(s2_walks)) != (1, 1):
+                walked_twice.append((trial, len(match_walks), len(s2_walks)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert walked_twice == []
 
 
 @pytest.mark.parametrize(
