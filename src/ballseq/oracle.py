@@ -3,22 +3,23 @@
 Everything here works by brute force: a depth-first walk places the
 balls one at a time and reaches each of the n^k colorings on its own.  The
 statistics of a coloring are carried ball by ball from its own prefix,
-each ball applying the literal definition to the color it takes.  Each
-prefix of k - 1 balls reads every color's count, so each coloring that
-ends it is classified by its own last color's count; the prefix is
-tallied once with those counts, and its colorings are added up after the
-walk.  No closed form, no symmetry shortcut, no sampling.  That
-independence is the point; :func:`verify` compares these tallies against
-the formula side cell by cell.  Requests too large to enumerate are
-refused, never truncated.
+each ball applying the literal definition to the color it takes, in O(1)
+per ball.  Along with (m, lam, mu), each prefix carries how many colors it
+holds zero times and exactly once.  The walk places k - 2 balls and then
+gives ball k - 1 each of its colors in turn, so each prefix of k - 1 balls
+is still reached on its own, and each coloring that ends it is classified
+by its own last color's count; the prefix is tallied once with those
+counts, and its colorings are added up after the walk.  No closed form, no
+symmetry shortcut, no sampling.  That independence is the point;
+:func:`verify` compares these tallies against the formula side cell by
+cell.  Requests too large to enumerate are refused, never truncated.
 
-A large walk is shared between processes: the colors of the first ball
-are dealt round-robin to one process per usable CPU, the extra ones made
-with ``os.fork``, and their tallies are summed.  Each coloring is still
-reached and classified on its own; only the process that counts it
-changes.
-Where there is no ``os.fork`` or only one CPU, the whole walk runs
-in-process.
+A walk of at least 16,384 prefixes and 65,536 colorings is shared between
+processes: the colors of the first ball are dealt round-robin to one
+process per usable CPU, the extra ones made with ``os.fork``, and their
+tallies are summed.  Each coloring is still reached and classified on its
+own; only the process that counts it changes.  Where there is no
+``os.fork`` or only one CPU, the whole walk runs in-process.
 
 ``BudgetExceeded`` and ``DEFAULT_BUDGET`` are defined in
 :mod:`ballseq.core` and re-exported here.  ``import ballseq`` does not
@@ -97,10 +98,17 @@ def _exceeds_budget(k: int, n: int, budget: int) -> bool:
     return size > budget
 
 
-# Below this many colorings a fork costs more than the share of the walk
-# it takes off the parent.  On a 2-vCPU VM one fork, pipe and reap took
-# about 1.2 ms and the walk 0.01-0.4 us a coloring; 2^16 colorings of the
-# cheapest shapes (k = 2, 3) took 0.8-1.8 ms, about one fork.
+# The walk's work follows its n^(k-1) prefixes of k - 1 balls, each
+# reached in O(1), so a fork pays only past a number of prefixes.  On a
+# 2-vCPU VM one fork, pipe and reap took 1.4-2.5 ms and the walk 0.13-0.8 us
+# a prefix (the most where n is smallest); forced to one and two processes,
+# alternated, the split lost on (3, 90) and (4, 22), 8,100 and 10,648
+# prefixes, broke even on (3, 128) and (4, 25), 16,384 and 15,625, and won
+# from (4, 28) and (5, 12), 21,952 and 20,736, up.
+_SPLIT_PREFIXES = 16384
+# Nor is a walk of fewer colorings than this split, the floor that small
+# shapes have always kept.  Above 16,384 prefixes it only keeps n = 2 and 3
+# in one process, e.g. (15, 2) and (10, 3), which lose 3-4 ms by it.
 _SPLIT_MIN = 65536
 
 
@@ -110,6 +118,7 @@ def _workers(k: int, n: int) -> int:
     (other threads are running) or not worth its cost."""
     if (
         not hasattr(os, "fork")
+        or not _exceeds_budget(k - 1, n, _SPLIT_PREFIXES - 1)
         or not _exceeds_budget(k, n, _SPLIT_MIN - 1)
         or threading.active_count() > 1
     ):
@@ -125,79 +134,107 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
     """Count the colorings whose first ball takes a color in ``first`` by
     their (m, lam, mu), walking them depth first without recursion.
 
-    The walk places one ball at a time and carries the count of each color
-    and the (m, lam, mu) of the prefix placed so far, updated by the
-    definitions applied to the ball just placed: a color the prefix holds
-    twice or more adds a matched ball and a repeat; a color it holds once
-    also makes its first ball matched and the color repeated; an unseen
-    color adds nothing.  Taking a ball off undoes its update.
+    The walk places one ball at a time and carries the count of each color,
+    the (m, lam, mu) of the prefix placed so far, and how many of the colors
+    the last ball can take the prefix holds zero times (unseen) and exactly
+    once (once).  Each is updated by its definition applied to the ball just
+    placed, in O(1): an unseen color becomes seen once; a color held once
+    makes its first ball matched, its color repeated, and the new ball a
+    matched repeat; a color held twice or more adds a matched repeat.
+    Taking a ball off undoes its update.  No identity between the
+    statistics and no closed form is used.
 
-    Each prefix of k - 1 balls reads the count of every color the last
-    ball can take, with ``list.count``: the colorings ending in an unseen
-    color keep the prefix's (m, lam, mu), those ending in a color seen once
-    move to (m + 2, lam + 1, mu + 1), and the rest to (m + 1, lam, mu + 1).
-    The prefix adds 1 to the number of prefixes with its (m, lam, mu) and
-    its unseen and once-seen counts; after the walk each of those keys
-    adds its three groups of colorings, times that number, to the tally.
-    Beyond ``counts`` the walk holds one color per ball.
+    The walk stops at k - 2 balls; ball k - 1 then takes each color it can
+    in turn, classified the same way by its own count, and each of these
+    prefixes of k - 1 balls adds 1 to the number of prefixes with its (m,
+    lam, mu, unseen, once).  The colorings ending a prefix in an unseen
+    color keep its (m, lam, mu), those ending in a color seen once move to
+    (m + 2, lam + 1, mu + 1), and the rest to (m + 1, lam, mu + 1); after
+    the walk each key adds its three groups of colorings, times the number
+    of its prefixes, to the tally.  Beyond ``counts`` the walk holds one
+    color per ball.
     """
     if not k:
         return {(0, 0, 0): 1}  # the empty coloring
     if not first:
         return {}  # no color for the first ball: no coloring, however long
-    counts = [0] * n
-    before_last = k - 1
-    placed = [0] * before_last  # the color of each ball before the last
-    # The counts the last ball can meet: every color's, or, when it is the
-    # first ball as well, those of the colors in ``first``.
-    last = counts if before_last else [counts[c] for c in first]
     # (m, lam, mu, unseen, once) of each prefix -> how many prefixes have it
     prefixes: dict[tuple[int, int, int, int, int], int] = {}
-    m = lam = mu = 0
-    depth = 0
-    c = first.start
-    while True:
-        # Place color c, then color 0 on every ball up to the last.
-        while depth < before_last:
-            cnt = counts[c]
-            if cnt == 1:
-                m += 2
-                lam += 1
-                mu += 1
-            elif cnt:
-                m += 1
-                mu += 1
-            counts[c] = cnt + 1
-            placed[depth] = c
-            depth += 1
-            c = 0
-        key = (m, lam, mu, last.count(0), last.count(1))
-        prefixes[key] = prefixes.get(key, 0) + 1
-        # Take balls off until one can move on to its next color.
-        while depth:
-            depth -= 1
-            c = placed[depth]
-            cnt = counts[c] - 1
-            counts[c] = cnt
-            if cnt == 1:
-                m -= 2
-                lam -= 1
-                mu -= 1
-            elif cnt:
-                m -= 1
-                mu -= 1
-            if depth:
-                c += 1
-                if c < n:
-                    break
+    # The colors the last ball can take: all n, or, when it is the first
+    # ball as well, those in ``first``.
+    width = n if k > 1 else len(first)
+    if k == 1:
+        prefixes[0, 0, 0, width, 0] = 1  # the empty prefix
+    else:
+        get = prefixes.get
+        counts = [0] * n
+        walked = k - 2  # balls the walk places before the looped one
+        placed = [0] * walked  # the color of each of them
+        # The counts ball k - 1 can meet: every color's, or, when it is
+        # the first ball, those of the colors in ``first``.
+        looped = counts if walked else [counts[c] for c in first]
+        m = lam = mu = once = 0
+        unseen = width
+        depth = 0
+        c = first.start
+        while True:
+            # Place color c, then color 0 on every ball up to the looped one.
+            while depth < walked:
+                cnt = counts[c]
+                if not cnt:
+                    unseen -= 1
+                    once += 1
+                elif cnt == 1:
+                    m += 2
+                    lam += 1
+                    mu += 1
+                    once -= 1
+                else:
+                    m += 1
+                    mu += 1
+                counts[c] = cnt + 1
+                placed[depth] = c
+                depth += 1
+                c = 0
+            # Ball k - 1 takes each color in turn: one prefix each.
+            fresh = (m, lam, mu, unseen - 1, once + 1)
+            second = (m + 2, lam + 1, mu + 1, unseen, once - 1)
+            more = (m + 1, lam, mu + 1, unseen, once)
+            for cnt in looped:
+                if not cnt:
+                    prefixes[fresh] = get(fresh, 0) + 1
+                elif cnt == 1:
+                    prefixes[second] = get(second, 0) + 1
+                else:
+                    prefixes[more] = get(more, 0) + 1
+            # Take balls off until one can move on to its next color.
+            while depth:
+                depth -= 1
+                c = placed[depth]
+                cnt = counts[c] - 1
+                counts[c] = cnt
+                if not cnt:
+                    unseen += 1
+                    once -= 1
+                elif cnt == 1:
+                    m -= 2
+                    lam -= 1
+                    mu -= 1
+                    once += 1
+                else:
+                    m -= 1
+                    mu -= 1
+                if depth:
+                    c += 1
+                    if c < n:
+                        break
+                else:
+                    c += first.step
+                    if c in first:
+                        break
             else:
-                c += first.step
-                if c in first:
-                    break
-        else:
-            break
+                break
     tally: dict[tuple[int, int, int], int] = {}
-    width = len(last)
     for (m, lam, mu, unseen, once), times in prefixes.items():
         for cell, colorings in (
             ((m, lam, mu), unseen),
