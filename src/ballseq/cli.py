@@ -112,8 +112,6 @@ def _run_count(args: argparse.Namespace) -> int:
 
 def _run_table(args: argparse.Namespace) -> int:
     table = distribution_table(args.k, args.n)
-    cells = sorted(table.by_match_cell.items())
-    buckets = sorted(table.by_repeat_count.items())
     if args.format == "json":
         record = {
             "schema_version": SCHEMA_VERSION,
@@ -123,20 +121,20 @@ def _run_table(args: argparse.Namespace) -> int:
                 "n": table.n,
                 "by_match_cell": [
                     {"m": m, "lambda": lam, "count": str(count)}
-                    for (m, lam), count in cells
+                    for (m, lam), count in table.by_match_cell.items()
                 ],
                 "by_repeat_count": [
-                    {"mu": mu, "count": str(count)} for mu, count in buckets
+                    {"mu": mu, "count": str(count)}
+                    for mu, count in table.by_repeat_count.items()
                 ],
             },
         }
         _print_json(record)
     else:
         lines = ["m\tlambda\tcount"]
-        lines += [f"{m}\t{lam}\t{count}" for (m, lam), count in cells]
-        lines.append("")
-        lines.append("mu\tcount")
-        lines += [f"{mu}\t{count}" for mu, count in buckets]
+        lines += [f"{m}\t{lam}\t{count}" for (m, lam), count in table.by_match_cell.items()]
+        lines += ["", "mu\tcount"]
+        lines += [f"{mu}\t{count}" for mu, count in table.by_repeat_count.items()]
         print("\n".join(lines))
     return EXIT_OK
 

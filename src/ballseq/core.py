@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
 
 Count = int
 
@@ -96,24 +94,17 @@ class FeasibilityReport(_record("FeasibilityReport", "feasible violated_constrai
         return super().__new__(cls, feasible, violated_constraints)
 
 
-def _slack_diagonals(m_max: int, lam_max: int) -> Iterator[list[Count]]:
-    """Walk the S(m, lam) grid for m <= m_max and lam <= lam_max one
-    diagonal of constant slack s = m - 2*lam at a time.
-
-    For s = 0, 1, ..., m_max this yields the fresh list
-    [S(2*l + s, l) for l in 0..min(lam_max, (m_max - s) // 2)].  Each
-    entry is one step of the recurrence
-    S(m, lam) = lam * (S(m - 1, lam) + (m - 1) * S(m - 2, lam - 1)),
-    whose two inputs sit on the previous diagonal and earlier on this one,
-    so only two diagonals are held at a time.
-    """
-    prev = [0] * (lam_max + 1)  # diagonal s = -1: S(2l - 1, l) = 0
-    for s in range(m_max + 1):
-        row = [int(s == 0)]
-        for lam in range(1, min(lam_max, (m_max - s) // 2) + 1):
-            row.append(lam * (prev[lam] + (2 * lam + s - 1) * row[-1]))
-        yield row
-        prev = row
+def _next_column(lam: int, column: tuple[Count, ...], width: int) -> tuple[Count, ...]:
+    """Column lam of a(m, lam) = S(m, lam)/lam! (OEIS A008299), entry e at
+    m = 2*lam + e for e < width, from column lam - 1, which is at least as
+    long; column 0 is [e = 0].  S's recurrence below, divided by lam!, is
+    a(m, lam) = lam * a(m - 1, lam) + (m - 1) * a(m - 2, lam - 1), so entry
+    e comes from entry e - 1 above it (0 at e = 0) and entry e beside it."""
+    entries, entry = [], 0
+    for e in range(width):
+        entry = lam * entry + (2 * lam + e - 1) * column[e]
+        entries.append(entry)
+    return tuple(entries)
 
 
 @lru_cache(maxsize=4096)
@@ -133,9 +124,9 @@ def doubly_surjective_count(m: int, lam: int) -> Count:
 
         S(m, lam) = lam * (S(m - 1, lam) + (m - 1) * S(m - 2, lam - 1))
 
-    with S(0, 0) = 1.  Every term is non-negative.  The walk costs
-    (lam + 1) * (m - 2*lam + 1) steps on numbers of up to m * log2(lam)
-    bits and holds O(lam) integers at a time.
+    with S(0, 0) = 1.  Every term is non-negative.  The walk builds lam
+    columns of m - 2*lam + 1 entries of S/lam! (:func:`_next_column`), on
+    numbers lam! smaller than S, and holds one column at a time.
 
     m of 2.8 * lam or more: the exponential generating function.
     S(m, lam) is m! [x^m] (e^x - 1 - x)^lam; expanding the power by the
@@ -160,8 +151,10 @@ def doubly_surjective_count(m: int, lam: int) -> Count:
     if 2 * lam > m:
         return 0
     if 5 * m < 14 * lam:
-        row = next(islice(_slack_diagonals(m, lam), m - 2 * lam, None))
-        return row[lam]
+        column = (1,) + (0,) * (m - 2 * lam)
+        for i in range(1, lam + 1):
+            column = _next_column(i, column, len(column))
+        return math.factorial(lam) * column[-1]
     if lam == 0:
         return int(m == 0)
     total = 0

@@ -17,9 +17,9 @@ n!/(n - d)!: the d colors in order of first use are an injection into the
 palette, and what is left of the count does not depend on n.  Those
 coefficients are the ordinary Stirling numbers S2(d + mu, d) for problem3
 and problem4, and a sequence B_m(d) built from the column a_lam for
-problem2.  Each sequence is cached by mu or m alone, grown on demand and
-folded by Horner's rule, so a call with a new n or k reads a prefix of
-what an earlier call built.
+problem2.  Each sequence is cached by mu or m alone with the last column
+of the walk that built it, resumed on demand and folded by Horner's rule,
+so a call with a new n or k reads or extends what an earlier call built.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import threading
 from functools import lru_cache
 from itertools import accumulate
 
-from .core import Count, _placements, _record, _require_nonneg, _slack_diagonals
+from .core import Count, _next_column, _placements, _record, _require_nonneg
 
 
 class DistributionTable(_record("DistributionTable", "k n by_match_cell by_repeat_count")):
@@ -47,11 +47,12 @@ class DistributionTable(_record("DistributionTable", "k n by_match_cell by_repea
 
 
 # The coefficient caches below hold one slot per mu or m: a one-item list
-# whose item is an immutable snapshot, the sequence so far first.  Readers
-# take the snapshot without a lock; a writer builds a longer one under the
-# lock and replaces it whole, so no thread sees a half-extended sequence.
-# The lock is reentrant because the walk that extends B_m reads the column
-# of a_lam = S(m, lam)/lam!, which may need extending in turn.
+# whose item is an immutable snapshot of a column walk, the sequence so far
+# first.  Readers take the snapshot without a lock; a writer resumes the
+# walk under the lock and replaces the snapshot whole, so no thread sees a
+# half-extended sequence.  The lock is reentrant because the walk that
+# extends B_m reads the column of a_lam = S(m, lam)/lam!, which may need
+# extending in turn.
 _grow_lock = threading.RLock()
 
 
@@ -74,31 +75,38 @@ def _grown(slot_of, key: int, top: int, extend) -> tuple[Count, ...]:
     return snapshot[0]
 
 
+def _resume(snapshot: tuple, top: int, first: tuple[Count, ...], step) -> tuple:
+    """Resume the walk of ``snapshot`` = (the last entries of columns
+    0..d - 1, column d - 1 or () for ``first``) up to column top, where
+    column d is ``step(d, column d - 1)``; only the last column is kept."""
+    diagonal, column = list(snapshot[0]), snapshot[1] or first
+    for d in range(len(diagonal), top + 1):
+        column = step(d, column)
+        diagonal.append(column[-1])
+    return tuple(diagonal), column
+
+
 @lru_cache(maxsize=4096)
 def _s2_slot(mu: int) -> list:
-    """Cache slot for S2(d + mu, d): the snapshot (diagonal, column) at
-    d = 0, where column d of the walk is S2(d + e, d) for e = 0..mu.
-    Column 0 is left empty until a walk needs it, so a slot costs O(mu)
-    only once it is walked."""
+    """Cache slot for S2(d + mu, d): the term at d = 0, with column 0 left
+    empty until a walk needs it, so a slot costs O(mu) only once walked."""
     return [((int(mu == 0),), ())]
 
 
 def _s2_walk(mu: int, snapshot: tuple, top: int) -> tuple:
-    """Resume the walk of ``snapshot`` up to column top.
+    """Resume the walk of ``snapshot`` up to column top, where column d is
+    S2(d + e, d) for e = 0..mu.
 
     Classifying by the last ball, which either joins one of the d blocks
     of the others or starts a block alone, gives
-    S2(d + e, d) = d * S2(d + e - 1, d) + S2(d + e - 1, d - 1): each entry
-    of column d comes from the one above it and its left neighbour in
-    column d - 1.  Each column costs mu steps and only the last is held.
+    S2(d + e, d) = d * S2(d + e - 1, d) + S2(d + e - 1, d - 1): each of
+    the mu steps of column d reads the entry above it and its left
+    neighbour in column d - 1.
     """
-    diagonal, column = snapshot
-    diagonal = list(diagonal)
-    column = column or (1,) + (0,) * mu  # S2(e, 0) = [e = 0]
-    for d in range(len(diagonal), top + 1):
-        column = tuple(accumulate(column, lambda above, left: d * above + left))
-        diagonal.append(column[-1])
-    return tuple(diagonal), column
+    return _resume(
+        snapshot, top, (1,) + (0,) * mu,  # S2(e, 0) = [e = 0]
+        lambda d, column: tuple(accumulate(column, lambda above, left: d * above + left)),
+    )
 
 
 def _s2_diagonal(mu: int, top: int) -> tuple[Count, ...]:
@@ -110,27 +118,22 @@ def _s2_diagonal(mu: int, top: int) -> tuple[Count, ...]:
 
 @lru_cache(maxsize=4096)
 def _column_slot(m: int) -> list:
-    """Cache slot for a_lam = S(m, lam)/lam!: the snapshot (column,), empty
-    at first."""
-    return [((),)]
+    """Cache slot for a_lam = S(m, lam)/lam!, begun as :func:`_s2_slot`."""
+    return [((int(m == 0),), ())]
 
 
 def _column_walk(m: int, snapshot: tuple, top: int) -> tuple:
-    """a_lam for lam = 0..top, where top <= m // 2, built afresh whatever
-    ``snapshot`` holds: the partitions of m labeled balls into lam blocks
-    of two or more, the associated Stirling numbers of the second kind.
+    """Resume the walk of ``snapshot`` up to a_top, where top <= m // 2:
+    the partitions of m labeled balls into lam blocks of two or more.
 
-    S(m, lam) sits at index lam of the diagonal of slack m - 2*lam, so one
-    walk bounded by lam <= top holds the whole column: about
-    (top + 1) * (m - top + 1) steps, where the full column would take
-    about m^2 / 4.
+    Column lam is a(2*lam + e, lam) for e = 0..m - 2*lam, ending in a_lam
+    (:func:`ballseq.core._next_column`).  A walk to top costs about
+    (top + 1) * (m - top + 1) steps, the whole column about m^2 / 4.
     """
-    column = [0] * (top + 1)
-    for s, row in enumerate(_slack_diagonals(m, top)):
-        lam, odd = divmod(m - s, 2)
-        if not odd and lam <= top:
-            column[lam] = row[lam] // math.factorial(lam)
-    return (tuple(column),)
+    return _resume(
+        snapshot, top, (1,) + (0,) * m,  # a(e, 0) = [e = 0]
+        lambda lam, column: _next_column(lam, column, m - 2 * lam + 1),
+    )
 
 
 def _partition_column(m: int, top: int) -> tuple[Count, ...]:
@@ -141,24 +144,26 @@ def _partition_column(m: int, top: int) -> tuple[Count, ...]:
 
 @lru_cache(maxsize=4096)
 def _match_slot(m: int) -> list:
-    """Cache slot for B_m: the snapshot (coefficients,), empty at first."""
-    return [((),)]
+    """Cache slot for B_m: a walk not yet begun."""
+    return [((), ())]
 
 
 def _match_walk(m: int, snapshot: tuple, top: int) -> tuple:
-    """B_m(d) for d = 0..top, built afresh whatever ``snapshot`` holds:
-    the number of sequences, of any length, that use d given colors with
-    their first uses in a given order and have exactly m matched balls.
+    """Resume the walk of ``snapshot`` up to B_m(top): B_m(d) is the number
+    of sequences, of any length, that use d given colors with their first
+    uses in a given order and have exactly m matched balls.
 
     B_m(d) = sum over lam of a_lam * C(m + d - lam, m): the coefficients
     of a(y) / (1 - y)^(m + 1), so m + 1 running sums of a give them.
-    Terms with lam > d vanish, so a column read up to lam = top serves.
+    Column d holds a_d and those sums at d, each the one before it plus
+    itself at d - 1, so B_m(d) is its last entry.  Terms with lam > d
+    vanish, so a column read up to lam = top serves.
     """
-    coefficients = list(_partition_column(m, top)[: top + 1])
-    coefficients += [0] * (top + 1 - len(coefficients))
-    for _ in range(m + 1):
-        coefficients = list(accumulate(coefficients))
-    return (tuple(coefficients),)
+    a = _partition_column(m, top) + (0,) * top  # a_lam = 0 past m // 2
+    return _resume(
+        snapshot, top, (0,) * (m + 2),  # nothing summed before d = 0
+        lambda d, column: tuple(accumulate(column[1:], initial=a[d])),
+    )
 
 
 def _falling_fold(coefficients: tuple[Count, ...], n: int) -> Count:
@@ -253,18 +258,21 @@ def problem4_repeats_any_length(n: int, mu: int) -> Count:
 def distribution_table(k: int, n: int) -> DistributionTable:
     """Complete census for fixed (k, n), computed from the closed forms.
 
-    One walk of the S(m, lam) recurrence over every m <= k supplies the
-    whole table, O(k^2) steps in all; each repeat bucket mu then sums its
-    cells (mu + lam, lam).  Emits only nonzero cells, in lexicographic
-    (m, lam) order and ascending mu order (dicts preserve insertion order,
-    so iteration is deterministic).
+    One column walk of a = S(m, lam)/lam! over lam <= k // 2, column lam
+    holding every m = 2*lam..k, supplies the whole table, O(k^2) steps in
+    all; each repeat bucket mu then sums its cells (mu + lam, lam).  Emits
+    only nonzero cells, in lexicographic (m, lam) order and ascending mu
+    order (dicts preserve insertion order, so iteration is deterministic).
     """
     _require_nonneg(k=k, n=n)
     cells: dict[tuple[int, int], Count] = {}
-    for s, row in enumerate(_slack_diagonals(k, k // 2)):
-        for lam, assignments in enumerate(row):
-            m = 2 * lam + s
-            count = _placements(k, n, m, lam) * assignments
+    column, factorial = (1,) + (0,) * k, 1  # a(e, 0) = [e = 0]
+    for lam in range(k // 2 + 1):
+        if lam:
+            column = _next_column(lam, column, k - 2 * lam + 1)
+            factorial *= lam
+        for m, a in enumerate(column, 2 * lam):
+            count = _placements(k, n, m, lam) * factorial * a
             if count:
                 cells[m, lam] = count
     by_match_cell = dict(sorted(cells.items()))

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ballseq import core
 from ballseq.core import (
     Constraint,
     FeasibilityReport,
@@ -110,10 +109,28 @@ def test_doubly_surjective_matches_inclusion_exclusion():
             assert doubly_surjective_count(m, lam) == _inclusion_exclusion(m, lam), (m, lam)
 
 
+def _slack_diagonals(m_max, lam_max):
+    """Walk the S(m, lam) grid for m <= m_max and lam <= lam_max one
+    diagonal of constant slack s = m - 2*lam at a time, yielding
+    [S(2*l + s, l) for l in 0..min(lam_max, (m_max - s) // 2)] for each s.
+    Each entry is one step of the recurrence
+    S(m, lam) = lam * (S(m - 1, lam) + (m - 1) * S(m - 2, lam - 1)) on S
+    itself, whose inputs sit on the previous diagonal and earlier on this
+    one: the other traversal of the recurrence that the package walks by
+    columns of S/lam!."""
+    prev = [0] * (lam_max + 1)  # diagonal s = -1: S(2l - 1, l) = 0
+    for s in range(m_max + 1):
+        row = [int(s == 0)]
+        for lam in range(1, min(lam_max, (m_max - s) // 2) + 1):
+            row.append(lam * (prev[lam] + (2 * lam + s - 1) * row[-1]))
+        yield row
+        prev = row
+
+
 def _walked(m, lam):
-    """S(m, lam) read straight off the recurrence walk, whichever way
+    """S(m, lam) read straight off the diagonal walk, whichever way
     doubly_surjective_count would evaluate the cell."""
-    for s, row in enumerate(core._slack_diagonals(m, lam)):
+    for s, row in enumerate(_slack_diagonals(m, lam)):
         if s == m - 2 * lam:
             return row[lam]
 

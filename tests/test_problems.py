@@ -399,6 +399,73 @@ def test_shorter_requests_reuse_the_cached_prefix(monkeypatch):
     assert len(match_walks) == 4
 
 
+def _associated_stirling(m, lam):
+    """a(m, lam) = S(m, lam)/lam!, the partitions of m labeled balls into
+    lam blocks of two or more, by inclusion-exclusion over the balls left
+    alone in a block, from the explicit S2 sum."""
+    return sum((-1) ** j * math.comb(m, j) * _stirling2(m - j, lam - j) for j in range(lam + 1))
+
+
+def test_associated_stirling_matches_the_single_cell():
+    for m in range(30):
+        for lam in range(m // 2 + 1):
+            expected = doubly_surjective_count(m, lam) // math.factorial(lam)
+            assert _associated_stirling(m, lam) == expected, (m, lam)
+
+
+@pytest.mark.parametrize("key", [0, 1, 2, 7, 40, 90])
+def test_slots_grown_in_steps_match_one_walk_and_the_references(monkeypatch, key):
+    # Each slot is asked for top 0, 3, 10 and 40 in turn.  Every top its
+    # snapshot does not yet hold must be one walk resumed from that
+    # snapshot, and the steps must end where one walk from the empty
+    # snapshot ends.  The a_lam column stops at lam = key // 2.
+    readers = {
+        "_s2_walk": (problems._s2_slot, problems._s2_diagonal, 40),
+        "_column_walk": (problems._column_slot, problems._partition_column, key // 2),
+        "_match_walk": (
+            problems._match_slot,
+            lambda m, top: problems._grown(problems._match_slot, m, top, problems._match_walk),
+            40,
+        ),
+    }
+    grown = {}
+    for name, (slot, read, cap) in readers.items():
+        _clear_aggregate_caches()
+        walk = getattr(problems, name)
+        empty = slot(key)[0]
+        calls = _count_calls(monkeypatch, name)
+        snapshots = []
+        for top in (0, 3, 10, 40):
+            snapshots.append(slot(key)[0])
+            read(key, top)
+        tops = sorted({min(top, cap) for top in (0, 3, 10, 40)} - set(range(len(empty[0]))))
+        assert [args[2] for args in calls] == tops, name
+        assert all(args[1] in snapshots for args in calls), name
+        assert slot(key)[0] == (walk(key, empty, tops[-1]) if tops else empty), name
+        grown[name] = slot(key)[0][0]
+    column = tuple(_associated_stirling(key, lam) for lam in range(min(key // 2, 40) + 1))
+    assert grown["_s2_walk"] == tuple(_stirling2(d + key, d) for d in range(41))
+    assert grown["_column_walk"] == column
+    assert grown["_match_walk"] == tuple(
+        sum(a * math.comb(key + d - lam, key) for lam, a in enumerate(column[: d + 1]))
+        for d in range(41)
+    )
+
+
+def test_problem1_resumes_the_column_it_walked(monkeypatch):
+    # n - k + m = n caps lam at n here, so n = 400 walks the column of
+    # a(1200, lam) to lam = 400, and n = 405 resumes it for five columns
+    # where a walk from empty would build 405.
+    _clear_aggregate_caches()
+    problem1_matches_fixed_length(1200, 400, 1200)
+    columns = _count_calls(monkeypatch, "_next_column")
+    count = problem1_matches_fixed_length(1200, 405, 1200)
+    assert len(columns) == 5
+    _clear_aggregate_caches()
+    assert count == problem1_matches_fixed_length(1200, 405, 1200)
+    assert len(columns) == 5 + 405
+
+
 def _problem4_by_lengths(n, mu):
     """problem4 in the associated-Stirling form, as reference_problem4 has
     it, but with each length sum stepped term by term: C(n, lam) *
