@@ -25,7 +25,7 @@ from contextlib import contextmanager
 
 from .core import DEFAULT_BUDGET, BudgetExceeded, SequenceClass, doubly_surjective_count, z_count
 from .problems import (
-    distribution_table,
+    _census,
     problem1_matches_fixed_length,
     problem2_matches_any_length,
     problem3_repeats_fixed_length,
@@ -64,20 +64,16 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _print_json(record: dict) -> None:
-    import json  # here, so that only --format json loads it
-
-    print(json.dumps(record))
-
-
 def _print_record(args: argparse.Namespace, result, elapsed: float | None = None) -> None:
     """Print a command's JSON record: its parameters echoed as the query,
     in flag order, its result and, unless --no-timing, the elapsed time."""
+    import json  # here, so that only --format json loads it
+
     query = {"command": args.command, **{dest: getattr(args, dest) for dest in args.params}}
     record = {"schema_version": SCHEMA_VERSION, "query": query, "result": result}
     if elapsed is not None and not args.no_timing:
         record["elapsed_seconds"] = round(elapsed, 6)
-    _print_json(record)
+    print(json.dumps(record))
 
 
 # The count commands: name, help, the (flag, help) parameters in the order
@@ -110,32 +106,39 @@ def _run_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_items(write, items) -> None:
+    """Write the items of a JSON array with json.dumps's ", " between them."""
+    separator = ""
+    for item in items:
+        write(separator + item)
+        separator = ", "
+
+
 def _run_table(args: argparse.Namespace) -> int:
-    table = distribution_table(args.k, args.n)
+    """Write the census a cell at a time, as the row walk yields it, so
+    that no more than one cell's text is held.  The JSON is written by
+    hand, in the bytes json.dumps gives for the record, so the table never
+    loads json."""
+    k, n = args.k, args.n
+    cells, by_repeat = _census(k, n)
+    write = sys.stdout.write
     if args.format == "json":
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "query": {"command": "table", "k": args.k, "n": args.n},
-            "result": {
-                "k": table.k,
-                "n": table.n,
-                "by_match_cell": [
-                    {"m": m, "lambda": lam, "count": str(count)}
-                    for (m, lam), count in table.by_match_cell.items()
-                ],
-                "by_repeat_count": [
-                    {"mu": mu, "count": str(count)}
-                    for mu, count in table.by_repeat_count.items()
-                ],
-            },
-        }
-        _print_json(record)
+        write(f'{{"schema_version": {SCHEMA_VERSION}, "query": {{"command": "table", "k": {k},'
+              f' "n": {n}}}, "result": {{"k": {k}, "n": {n}, "by_match_cell": [')
+        _write_items(write, (f'{{"m": {m}, "lambda": {lam}, "count": "{count}"}}'
+                             for m, lam, count in cells))
+        write('], "by_repeat_count": [')
+        _write_items(write, (f'{{"mu": {mu}, "count": "{count}"}}'
+                             for mu, count in enumerate(by_repeat) if count))
+        write("]}}\n")
     else:
-        lines = ["m\tlambda\tcount"]
-        lines += [f"{m}\t{lam}\t{count}" for (m, lam), count in table.by_match_cell.items()]
-        lines += ["", "mu\tcount"]
-        lines += [f"{mu}\t{count}" for mu, count in table.by_repeat_count.items()]
-        print("\n".join(lines))
+        write("m\tlambda\tcount\n")
+        for m, lam, count in cells:
+            write(f"{m}\t{lam}\t{count}\n")
+        write("\nmu\tcount\n")
+        for mu, count in enumerate(by_repeat):
+            if count:
+                write(f"{mu}\t{count}\n")
     return EXIT_OK
 
 

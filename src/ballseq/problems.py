@@ -20,6 +20,10 @@ and problem4, and a sequence B_m(d) built from the column a_lam for
 problem2.  Each sequence is cached by mu or m alone with the last column
 of the walk that built it, resumed on demand and folded by Horner's rule,
 so a call with a new n or k reads or extends what an earlier call built.
+
+The census of distribution_table streams from one walk of a = S/lam! by
+rows m = 0..k, holding two rows and k + 1 running sums for the repeat
+buckets, so ``ballseq table`` can write each cell as it is computed.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import threading
 from functools import lru_cache
 from itertools import accumulate
 
-from .core import Count, _next_column, _placements, _record, _require_nonneg
+from .core import Count, _next_column, _record, _require_nonneg
 
 
 class DistributionTable(_record("DistributionTable", "k n by_match_cell by_repeat_count")):
@@ -255,30 +259,63 @@ def problem4_repeats_any_length(n: int, mu: int) -> Count:
     return _falling_fold(diagonal, n) - diagonal[0]
 
 
+def _census(k: int, n: int) -> tuple:
+    """The nonzero cells of the (k, n) census, and their repeat buckets.
+
+    The iterator yields (m, lam, count) in lexicographic (m, lam) order and
+    adds each count into its bucket of mu = m - lam repeats in the list,
+    whose k running sums are whole once the iterator is exhausted.  k and
+    n are checked here, on the call, before the first cell is asked for.
+
+    Rows m = 0..k of a(m, lam) = S(m, lam)/lam! are walked with
+    a(m, lam) = lam * a(m - 1, lam) + (m - 1) * a(m - 2, lam - 1), the
+    recurrence of :func:`ballseq.core._next_column` read along rows, so
+    only two rows are held; a row stops at lam = n, past which no later
+    row reads it.  With t = k - m unmatched balls the cell count is
+    C(n, lam) * C(k, m) * (n - lam)!/(n - lam - t)! * lam! * a(m, lam)
+    = C(k, m) * n!/(n - lam - t)! * a(m, lam), and along a row
+    n!/(n - lam - t)! steps by one product per lam, up to lam + t = n.
+    """
+    _require_nonneg(k=k, n=n)
+    # One bucket more, for mu = k: it counts only the empty sequence, which
+    # the repeat view leaves out, and is dropped once the walk is done.
+    by_repeat = [0] * (k + 1)
+
+    def cells():
+        row, previous = [1], []  # rows m = 0 and m = -1
+        for m in range(k + 1):
+            if m:  # a(m, 0) = 0, and a(m - 1, m / 2) = 0 for even m
+                row, previous = [0] + [
+                    lam * a1 + (m - 1) * a2
+                    for lam, a1, a2 in zip(range(1, min(m // 2, n) + 1), row[1:] + [0], previous)
+                ], row
+            t = k - m
+            if t > n:
+                continue
+            placements = math.comb(k, m) * math.perm(n, t)
+            for lam in range(min(m // 2, n - t) + 1):
+                if lam:
+                    placements *= n - lam - t + 1
+                count = placements * row[lam]
+                if count:
+                    by_repeat[m - lam] += count
+                    yield m, lam, count
+        by_repeat.pop()
+
+    return cells(), by_repeat
+
+
 def distribution_table(k: int, n: int) -> DistributionTable:
     """Complete census for fixed (k, n), computed from the closed forms.
 
-    One column walk of a = S(m, lam)/lam! over lam <= k // 2, column lam
-    holding every m = 2*lam..k, supplies the whole table, O(k^2) steps in
-    all; each repeat bucket mu then sums its cells (mu + lam, lam).  Emits
-    only nonzero cells, in lexicographic (m, lam) order and ascending mu
-    order (dicts preserve insertion order, so iteration is deterministic).
+    One row walk of a = S(m, lam)/lam!, O(k^2) steps holding two rows,
+    streams the cells in lexicographic (m, lam) order and sums the repeat
+    buckets as it goes (:func:`_census`, which ``ballseq table`` writes
+    from directly).  Emits only nonzero cells, in that order, and the
+    buckets in ascending mu order (dicts preserve insertion order, so
+    iteration is deterministic).
     """
-    _require_nonneg(k=k, n=n)
-    cells: dict[tuple[int, int], Count] = {}
-    column, factorial = (1,) + (0,) * k, 1  # a(e, 0) = [e = 0]
-    for lam in range(k // 2 + 1):
-        if lam:
-            column = _next_column(lam, column, k - 2 * lam + 1)
-            factorial *= lam
-        for m, a in enumerate(column, 2 * lam):
-            count = _placements(k, n, m, lam) * factorial * a
-            if count:
-                cells[m, lam] = count
-    by_match_cell = dict(sorted(cells.items()))
-    by_repeat_count: dict[int, Count] = {}
-    for mu in range(k):
-        count = sum(by_match_cell.get((mu + lam, lam), 0) for lam in range(mu + 1))
-        if count:
-            by_repeat_count[mu] = count
+    cells, by_repeat = _census(k, n)
+    by_match_cell = {(m, lam): count for m, lam, count in cells}
+    by_repeat_count = {mu: count for mu, count in enumerate(by_repeat) if count}
     return DistributionTable(k, n, by_match_cell, by_repeat_count)

@@ -1,17 +1,20 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from ballseq import cli, core, oracle
 from ballseq.core import SequenceClass
+from ballseq.problems import distribution_table
 
 
 def run(capsys, *argv):
@@ -133,6 +136,105 @@ def test_table_json_round_trip(capsys):
         for entry in record["result"]["by_repeat_count"]
     }
     assert sum(buckets.values()) == 3**5
+
+
+def _reference_table_output(k, n, fmt):
+    """The table's stdout encoded independently of the CLI's writer: the
+    JSON record through json.dumps, the TSV as one joined string, both
+    from the finished distribution_table."""
+    table = distribution_table(k, n)
+    if fmt == "json":
+        record = {
+            "schema_version": 1,
+            "query": {"command": "table", "k": k, "n": n},
+            "result": {
+                "k": table.k,
+                "n": table.n,
+                "by_match_cell": [
+                    {"m": m, "lambda": lam, "count": str(count)}
+                    for (m, lam), count in table.by_match_cell.items()
+                ],
+                "by_repeat_count": [
+                    {"mu": mu, "count": str(count)}
+                    for mu, count in table.by_repeat_count.items()
+                ],
+            },
+        }
+        return json.dumps(record) + "\n"
+    lines = ["m\tlambda\tcount"]
+    lines += [f"{m}\t{lam}\t{count}" for (m, lam), count in table.by_match_cell.items()]
+    lines += ["", "mu\tcount"]
+    lines += [f"{mu}\t{count}" for mu, count in table.by_repeat_count.items()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_table_output_matches_the_reference_encoder(capsys, fmt):
+    shapes = [(k, n) for k in range(13) for n in range(13)]
+    shapes += [(5, 100), (100, 95), (99, 110), (300, 300)]
+    for k, n in shapes:
+        code, out, err = run(capsys, "table", "--k", str(k), "--n", str(n), "--format", fmt)
+        assert (code, err) == (0, ""), (k, n)
+        assert out == _reference_table_output(k, n, fmt), (k, n)
+
+
+class _CountingSink:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_table_streams_in_small_memory(fmt):
+    # k = n = 200 prints about 4.5 MB.  Built whole before it was written,
+    # the table and its text peaked at 11.6 MiB (TSV) and 18.0 MiB (JSON);
+    # written as the row walk yields it, only two rows of a, the k repeat
+    # sums and one cell's text are held.
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = cli.run(["table", "--k", "200", "--n", "200", "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars > 4 * 10**6
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="closes a pipe under a POSIX writer")
+def test_table_into_a_closed_pipe_exits_four():
+    # The reader leaves after 100 bytes of a 4.5 MB table; the write that
+    # meets the closed pipe must end in the one-line error of exit 4.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "ballseq.cli", "table", "--k", "200", "--n", "200"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    try:
+        assert len(process.stdout.read(100)) == 100
+        process.stdout.close()
+        err = process.stderr.read().decode()
+        code = process.wait(timeout=60)
+    finally:
+        process.kill()
+        process.wait()
+        process.stderr.close()
+    assert code == 4, err
+    assert err.startswith("error: BrokenPipeError") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # -------------------------------------------------------------- verification
@@ -312,6 +414,10 @@ exec("from ballseq import *", namespace)
 import ballseq
 print(sorted(set(ballseq.__all__) - set(namespace)))
 print(ballseq.BudgetExceeded is ballseq.oracle.BudgetExceeded is ballseq.core.BudgetExceeded)
+import contextlib, io
+with contextlib.redirect_stdout(io.StringIO()):
+    ballseq.cli.run(["table", "--k", "3", "--n", "2", "--format", "json"])
+print("json" in sys.modules)
 """
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -323,4 +429,4 @@ print(ballseq.BudgetExceeded is ballseq.oracle.BudgetExceeded is ballseq.core.Bu
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n[]\nTrue\n"
+    assert result.stdout == "[]\n[]\nTrue\nFalse\n"

@@ -12,6 +12,7 @@ To record the file again after an intended change of output, run
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -58,7 +59,40 @@ RUNS = [
     ["verify-range", "--max-k", "2", "--max-n", "2", "--no-timing", "--format", "json"],
     ["verify-range", "--max-k", "4", "--max-n", "4", "--budget", "27", "--no-timing"],
     ["verify", "--budget", "1000", "--k", "12", "--n", "12"],
+] + [
+    # Edge shapes of the streamed table: no balls, no colors, one ball,
+    # two colors for twelve balls, and a palette far wider than k.
+    ["table", "--k", str(k), "--n", str(n)] + fmt
+    for k, n in ((0, 0), (0, 5), (1, 0), (3, 0), (12, 2), (5, 100))
+    for fmt in ([], ["--format", "json"])
 ]
+
+
+# The sha256 of ``table``'s stdout at shapes whose output is too long to keep
+# in the golden file (0.45 MB at k = 100, 15 MB at k = 300), recorded from
+# the table as it was before it was streamed.
+TABLE_DIGESTS = {
+    (100, 95, "tsv"): "26c3a24ec8fadd5240acd0784fe59000f79f555450c786d49a61e5ed6e8869b8",
+    (100, 95, "json"): "a35e662ea9315a09576f556fe3fee5dffc63988efdca7cdd179f83353c7d950f",
+    (99, 110, "tsv"): "f4a6f0405eeb097c49efa25ee2aef359f339489341192c89ddbce2ec03f5782a",
+    (99, 110, "json"): "5c70d78d2078b2463c0d8ad18a184d8a46240469af30ac2d71433d5223466e0e",
+    (300, 300, "tsv"): "d8198a65f35bda69771221e3ef025649911ee20431bde2d9fae1c7863e8a8371",
+    (300, 300, "json"): "f5993e780346e1a977139c83c68dc81ca25e65336d0ccaeea6745ddb7992136f",
+}
+
+
+class _HashingSink:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text):
+        self.sha256.update(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 def _invoke(argv):
@@ -106,6 +140,16 @@ def test_golden_exit_status_and_own_bytes(capsys, case):
     else:
         assert out == case["out"]
         assert err == case["err"]
+
+
+@pytest.mark.parametrize("shape", TABLE_DIGESTS, ids=lambda shape: "table k=%d n=%d %s" % shape)
+def test_large_table_digests(shape):
+    k, n, fmt = shape
+    sink = _HashingSink()
+    with contextlib.redirect_stdout(sink):
+        code = cli.run(["table", "--k", str(k), "--n", str(n), "--format", fmt])
+    assert code == 0
+    assert sink.sha256.hexdigest() == TABLE_DIGESTS[shape]
 
 
 @pytest.mark.skipif(

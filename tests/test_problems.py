@@ -246,6 +246,18 @@ def test_table_matches_single_cell_and_problem3():
                 assert table.by_repeat_count.get(mu, 0) == bucket, (k, n, mu)
 
 
+def test_census_streams_the_table_and_its_buckets():
+    cells, by_repeat = problems._census(7, 5)
+    assert by_repeat == [0] * 8  # nothing summed before the walk runs
+    table = distribution_table(7, 5)
+    assert [((m, lam), count) for m, lam, count in cells] == list(table.by_match_cell.items())
+    assert {mu: count for mu, count in enumerate(by_repeat) if count} == table.by_repeat_count
+    assert len(by_repeat) == 7
+    cells, by_repeat = problems._census(0, 3)
+    assert list(cells) == [(0, 0, 1)]
+    assert by_repeat == []  # the empty sequence has no repeat bucket
+
+
 def test_table_total_mass_large():
     table = distribution_table(150, 150)
     assert sum(table.by_match_cell.values()) == 150**150
@@ -641,3 +653,11 @@ def test_problems_reject_bools():
         problem4_repeats_any_length(3, True)
     with pytest.raises(ValueError):
         distribution_table(True, 2)
+
+
+@pytest.mark.parametrize("k, n", [(True, 2), (2, -1), (2.0, 2), (3, None)])
+def test_census_refuses_on_the_call_not_on_the_first_cell(k, n):
+    # The CLI writes the table's header only after _census returns, so a
+    # bad argument must raise before any cell is asked for.
+    with pytest.raises(ValueError):
+        problems._census(k, n)
