@@ -12,7 +12,8 @@ line on stderr, never as a traceback).
 
 Only verify and verify-range load the brute-force oracle, on first use,
 and only --format json loads json, so that the other commands start
-sooner.  BudgetExceeded and DEFAULT_BUDGET come from ballseq.core.
+sooner; table writes its JSON by hand and never loads json.
+BudgetExceeded and DEFAULT_BUDGET come from ballseq.core.
 """
 
 from __future__ import annotations
@@ -31,6 +32,25 @@ from .problems import (
     problem3_repeats_fixed_length,
     problem4_repeats_any_length,
 )
+
+# The text of ``ballseq --help`` above the command list, kept apart from
+# the module docstring so that editing the one leaves the other's bytes.
+_DESCRIPTION = """Command-line front end for the counting library.
+
+Subcommands mirror the library surface: single cells (z, s), the four
+aggregate problems, full distribution tables, and oracle verification.
+Output is deterministic: plain decimal counts, TSV tables, or JSON records
+with counts as decimal strings so arbitrary precision survives consumers
+whose native numbers would overflow.
+
+Exit codes: 0 success or verification pass, 1 usage error, 2 verification
+mismatch, 3 budget exceeded, 4 any other error (reported as one "error:"
+line on stderr, never as a traceback).
+
+Only verify and verify-range load the brute-force oracle, on first use,
+and only --format json loads json, so that the other commands start
+sooner.  BudgetExceeded and DEFAULT_BUDGET come from ballseq.core.
+"""
 
 SCHEMA_VERSION = 1
 
@@ -254,7 +274,7 @@ def _add_command(subs, name: str, summary: str, params, handler, formats: tuple[
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="ballseq", description=__doc__)
+    parser = _Parser(prog="ballseq", description=_DESCRIPTION)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, summary, params, count in _COUNTS:
         sub = _add_command(subs, name, summary, params, _run_count, ("plain", "json"))

@@ -1,25 +1,25 @@
 """Exhaustive ground truth for the closed-form counts.
 
 Everything here works by brute force: a depth-first walk places the
-balls one at a time and reaches each of the n^k colorings on its own.  The
-statistics of a coloring are carried ball by ball from its own prefix,
-each ball applying the literal definition to the color it takes, in O(1)
-per ball.  Along with (m, lam, mu), each prefix carries how many colors it
-holds zero times and exactly once.  The walk places k - 2 balls and then
-gives ball k - 1 each of its colors in turn, so each prefix of k - 1 balls
-is still reached on its own, and each coloring that ends it is classified
-by its own last color's count; the prefix is tallied once with those
-counts, and its colorings are added up after the walk.  No closed form, no
+balls one at a time and reaches each prefix of k - 2 balls on its own.  The
+statistics of a prefix are carried ball by ball, each ball applying the
+literal definition to the color it takes, in O(1) per ball.  Along with
+(m, lam, mu), each prefix carries how many colors it holds zero times and
+exactly once.  Each prefix of k - 2 balls, a walk leaf, reads the count of
+every color ball k - 1 can take, so each prefix of k - 1 balls is still
+classified by its own last color's count, and each coloring that ends it
+by its own.  A leaf is tallied once with those reads, and its prefixes
+and their colorings are added up after the walk.  No closed form, no
 symmetry shortcut, no sampling.  That independence is the point;
 :func:`verify` compares these tallies against the formula side cell by
 cell.  Requests too large to enumerate are refused, never truncated.
 
-A walk of at least 16,384 prefixes and 65,536 colorings is shared between
+A walk of at least 7,776 leaves and 65,536 colorings is shared between
 processes: the colors of the first ball are dealt round-robin to one
 process per usable CPU, the extra ones made with ``os.fork``, and their
-tallies are summed.  Each coloring is still reached and classified on its
-own; only the process that counts it changes.  Where there is no
-``os.fork`` or only one CPU, the whole walk runs in-process.
+tallies are summed.  Each leaf is still reached, and each coloring
+classified, on its own; only the process that counts it changes.  Where
+there is no ``os.fork`` or only one CPU, the whole walk runs in-process.
 
 ``BudgetExceeded`` and ``DEFAULT_BUDGET`` are defined in
 :mod:`ballseq.core` and re-exported here.  ``import ballseq`` does not
@@ -98,17 +98,17 @@ def _exceeds_budget(k: int, n: int, budget: int) -> bool:
     return size > budget
 
 
-# The walk's work follows its n^(k-1) prefixes of k - 1 balls, each
-# reached in O(1), so a fork pays only past a number of prefixes.  On a
-# 2-vCPU VM one fork, pipe and reap took 1.4-2.5 ms and the walk 0.13-0.8 us
-# a prefix (the most where n is smallest); forced to one and two processes,
-# alternated, the split lost on (3, 90) and (4, 22), 8,100 and 10,648
-# prefixes, broke even on (3, 128) and (4, 25), 16,384 and 15,625, and won
-# from (4, 28) and (5, 12), 21,952 and 20,736, up.
-_SPLIT_PREFIXES = 16384
+# The walk's work follows its n^(k-2) leaves, each reached in O(1) and
+# read by two scans in C, so a fork pays only past a number of leaves.  On
+# a 2-vCPU VM, with pairs alternated and kept only while two parallel
+# spins took under 1.2 times one, one process against two lost or tied on
+# (6, 7), (4, 56), (7, 5), (5, 15), (6, 8), (5, 16), (8, 4) and (5, 17),
+# 2,401 to 4,913 leaves (2.9 against 3.5 ms for (6, 8)), tied on (5, 20),
+# 8,000 leaves, and won on (7, 6), 7,776 leaves, 7.6 against 5.2 ms.
+_SPLIT_LEAVES = 7776
 # Nor is a walk of fewer colorings than this split, the floor that small
-# shapes have always kept.  Above 16,384 prefixes it only keeps n = 2 and 3
-# in one process, e.g. (15, 2) and (10, 3), which lose 3-4 ms by it.
+# shapes have always kept.  From 7,776 leaves up it keeps only (15, 2)
+# in one process.
 _SPLIT_MIN = 65536
 
 
@@ -118,7 +118,7 @@ def _workers(k: int, n: int) -> int:
     (other threads are running) or not worth its cost."""
     if (
         not hasattr(os, "fork")
-        or not _exceeds_budget(k - 1, n, _SPLIT_PREFIXES - 1)
+        or not _exceeds_budget(k - 2, n, _SPLIT_LEAVES - 1)
         or not _exceeds_budget(k, n, _SPLIT_MIN - 1)
         or threading.active_count() > 1
     ):
@@ -144,15 +144,19 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
     Taking a ball off undoes its update.  No identity between the
     statistics and no closed form is used.
 
-    The walk stops at k - 2 balls; ball k - 1 then takes each color it can
-    in turn, classified the same way by its own count, and each of these
-    prefixes of k - 1 balls adds 1 to the number of prefixes with its (m,
-    lam, mu, unseen, once).  The colorings ending a prefix in an unseen
-    color keep its (m, lam, mu), those ending in a color seen once move to
-    (m + 2, lam + 1, mu + 1), and the rest to (m + 1, lam, mu + 1); after
-    the walk each key adds its three groups of colorings, times the number
-    of its prefixes, to the tally.  Beyond ``counts`` the walk holds one
-    color per ball.
+    The walk stops at k - 2 balls, and each prefix it reaches there is a
+    leaf.  A leaf reads the count of every color ball k - 1 can take, in C
+    by ``list.count``: how many it holds zero times (zero) and exactly once
+    (one); it holds the rest twice or more.  The leaf then adds 1 to the
+    number of leaves with its (m, lam, mu, unseen, once, zero, one).  After
+    the walk each key is expanded twice by the same update: first into the
+    prefixes of k - 1 balls that end its leaves, zero of them in an unseen
+    color, one in a color seen once and the rest in a color seen more; then
+    each of those into the colorings that end it, unseen of them keeping
+    its (m, lam, mu), once moving it to (m + 2, lam + 1, mu + 1) and the
+    rest to (m + 1, lam, mu + 1).  Each group counts times the number of
+    leaves or prefixes it ends.  Beyond ``counts`` the walk holds one color
+    per ball.
     """
     if not k:
         return {(0, 0, 0): 1}  # the empty coloring
@@ -166,7 +170,10 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
     if k == 1:
         prefixes[0, 0, 0, width, 0] = 1  # the empty prefix
     else:
-        get = prefixes.get
+        # (m, lam, mu, unseen, once, zero, one) of each walk leaf -> how
+        # many leaves have it
+        leaves: dict[tuple[int, int, int, int, int, int, int], int] = {}
+        get = leaves.get
         counts = [0] * n
         walked = k - 2  # balls the walk places before the looped one
         placed = [0] * walked  # the color of each of them
@@ -196,17 +203,10 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
                 placed[depth] = c
                 depth += 1
                 c = 0
-            # Ball k - 1 takes each color in turn: one prefix each.
-            fresh = (m, lam, mu, unseen - 1, once + 1)
-            second = (m + 2, lam + 1, mu + 1, unseen, once - 1)
-            more = (m + 1, lam, mu + 1, unseen, once)
-            for cnt in looped:
-                if not cnt:
-                    prefixes[fresh] = get(fresh, 0) + 1
-                elif cnt == 1:
-                    prefixes[second] = get(second, 0) + 1
-                else:
-                    prefixes[more] = get(more, 0) + 1
+            # A leaf: read how many colors ball k - 1 meets zero times and
+            # once, each color's count looked at on its own.
+            leaf = (m, lam, mu, unseen, once, looped.count(0), looped.count(1))
+            leaves[leaf] = get(leaf, 0) + 1
             # Take balls off until one can move on to its next color.
             while depth:
                 depth -= 1
@@ -234,6 +234,14 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
                         break
             else:
                 break
+        for (m, lam, mu, unseen, once, zero, one), times in leaves.items():
+            for prefix, colors in (
+                ((m, lam, mu, unseen - 1, once + 1), zero),
+                ((m + 2, lam + 1, mu + 1, unseen, once - 1), one),
+                ((m + 1, lam, mu + 1, unseen, once), len(looped) - zero - one),
+            ):
+                if colors:
+                    prefixes[prefix] = prefixes.get(prefix, 0) + colors * times
     tally: dict[tuple[int, int, int], int] = {}
     for (m, lam, mu, unseen, once), times in prefixes.items():
         for cell, colorings in (
@@ -319,11 +327,11 @@ def _refuse_over_budget(k: int, n: int, budget: int) -> None:
 
 
 def enumerate_counts(k: int, n: int, budget: int = DEFAULT_BUDGET) -> DistributionTable:
-    """Ground-truth census built by reaching every one of the n^k colorings
-    one at a time, each with statistics carried ball by ball from its own
-    prefix by their literal definitions.  On a machine with several CPUs a
-    large walk is split by the color of the first ball across forked
-    processes; each still reaches and classifies its colorings one by one.
+    """Ground-truth census of the n^k colorings, each classified from its
+    own prefix, whose statistics are carried ball by ball by their literal
+    definitions.  On a machine with several CPUs a large walk is split by
+    the color of the first ball across forked processes; each still
+    reaches its walk leaves one by one.
 
     Deliberately ignorant of every closed form it is used to check.
     Raises BudgetExceeded when n^k > budget, or when n = 1 and k exceeds

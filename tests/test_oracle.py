@@ -269,15 +269,15 @@ def test_small_shapes_never_fork(monkeypatch):
         assert sum(table.by_match_cell.values()) == n**k, (k, n)
 
 
-def test_walks_of_few_prefixes_never_fork(monkeypatch):
+def test_walks_of_few_leaves_never_fork(monkeypatch):
     def fork():
-        raise AssertionError(f"forked for fewer than {oracle._SPLIT_PREFIXES} prefixes")
+        raise AssertionError(f"forked for fewer than {oracle._SPLIT_LEAVES} walk leaves")
 
     monkeypatch.setattr(os, "fork", fork, raising=False)
-    # Each has 65,536 colorings or more; (3, 127) and (4, 25) have 16,129
-    # and 15,625 prefixes of k - 1 balls, just under the threshold, and
-    # (2, 3162) has 10^7 colorings but only 3,162 prefixes.
-    shapes = [(2, 256), (2, 1000), (2, 3162), (3, 60), (3, 127), (4, 25)]
+    # Each has 65,536 colorings or more but few walk leaves of k - 2 balls:
+    # (2, 3162) has 10^7 colorings and one leaf, (3, 215) 9.9 M colorings
+    # and 215 leaves, and (5, 19) 6,859 leaves, just under the threshold.
+    shapes = [(2, 256), (2, 1000), (2, 3162), (3, 60), (3, 127), (3, 215), (4, 25), (5, 19)]
     for k, n in shapes:
         table = enumerate_counts(k, n)
         assert sum(table.by_match_cell.values()) == n**k, (k, n)
@@ -287,18 +287,21 @@ def test_walks_of_few_prefixes_never_fork(monkeypatch):
 def test_split_starts_at_both_thresholds(monkeypatch):
     monkeypatch.setattr(oracle.threading, "active_count", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    # (3, 128) has 16,384 prefixes and (3, 127) 16,129; (10, 3) has 19,683
-    # prefixes but 59,049 colorings, and (11, 3) 177,147 colorings.
-    assert [oracle._workers(k, n) for k, n in [(3, 128), (11, 3), (16, 2)]] == [2, 2, 2]
-    assert [oracle._workers(k, n) for k, n in [(3, 127), (10, 3), (1, 10**6)]] == [1, 1, 1]
+    # (7, 6) has 7,776 walk leaves and (5, 19) 6,859; (15, 2) has 8,192
+    # leaves but 32,768 colorings, and (16, 2) 65,536 colorings; (10, 3),
+    # with 6,561 leaves and 59,049 colorings, is under both thresholds.
+    assert [oracle._workers(k, n) for k, n in [(7, 6), (11, 3), (16, 2)]] == [2, 2, 2]
+    shapes = [(5, 19), (15, 2), (10, 3), (1, 10**6)]
+    assert [oracle._workers(k, n) for k, n in shapes] == [1, 1, 1, 1]
 
 
 # Every k <= 7 and n <= 6 small enough to classify literally, k = 0 and
-# n = 0 included, then wide palettes, where the looped ball meets hundreds
-# of color counts, and deep narrow ones, where the walk places and takes
-# off balls on many levels above it.
+# n = 0 included, then wide palettes, where each walk leaf reads hundreds
+# of color counts for ball k - 1, and deep narrow ones, where the walk
+# places and takes off balls on many levels above it.
 TALLY_SHAPES = [(k, n) for k in range(8) for n in range(7) if n**k <= 2 * 10**5]
 TALLY_SHAPES += [(1, 500), (2, 300), (3, 45), (4, 14), (12, 2), (9, 3), (15, 2)]
+TALLY_SHAPES += [(3, 150), (8, 4)]
 
 
 def _literal_tally(k, n):
