@@ -5,14 +5,14 @@ balls one at a time and reaches each prefix of k - 2 balls on its own.  The
 statistics of a prefix are carried ball by ball, each ball applying the
 literal definition to the color it takes, in O(1) per ball.  Along with
 (m, lam, mu), each prefix carries how many colors it holds zero times and
-exactly once.  Each prefix of k - 2 balls, a walk leaf, reads the count of
-every color ball k - 1 can take, so each prefix of k - 1 balls is still
-classified by its own last color's count, and each coloring that ends it
-by its own.  A leaf is tallied once with those reads, and its prefixes
-and their colorings are added up after the walk.  No closed form, no
-symmetry shortcut, no sampling.  That independence is the point;
-:func:`verify` compares these tallies against the formula side cell by
-cell.  Requests too large to enumerate are refused, never truncated.
+exactly once.  The walk tallies its leaves, the prefixes of k - 2 balls,
+by those five counts; after it, the same update by one ball turns each
+leaf into its prefixes of k - 1 balls and each of those into its
+colorings, each still classified by its own last color's count.  No
+closed form, no symmetry shortcut, no sampling.  That independence is the
+point; :func:`verify` compares these tallies against the formula side
+cell by cell.  Requests too large to enumerate are refused, never
+truncated.
 
 A walk of at least 7,776 leaves and 65,536 colorings is shared between
 processes: the colors of the first ball are dealt round-robin to one
@@ -65,24 +65,21 @@ class ClassStats(_record("ClassStats", "m lam mu distinct")):
 
 
 def classify(coloring: Coloring) -> ClassStats:
-    """Statistics of one coloring, each read off its plain definition."""
-    colors, n = coloring
-    counts = [0] * n
+    """Statistics of one coloring, each read off its plain definition, in
+    O(k): only the colors the coloring uses are counted."""
+    counts: dict[int, int] = {}
     mu = 0
-    for c in colors:
-        if counts[c]:
+    for c in coloring.colors:
+        if c in counts:
             mu += 1
-        counts[c] += 1
+        counts[c] = counts.get(c, 0) + 1
     m = 0
     lam = 0
-    distinct = 0
-    for c in counts:
-        if c:
-            distinct += 1
-            if c >= 2:
-                m += c
-                lam += 1
-    return ClassStats(m, lam, mu, distinct)
+    for c in counts.values():
+        if c >= 2:
+            m += c
+            lam += 1
+    return ClassStats(m, lam, mu, len(counts))
 
 
 def _exceeds_budget(k: int, n: int, budget: int) -> bool:
@@ -98,10 +95,11 @@ def _exceeds_budget(k: int, n: int, budget: int) -> bool:
     return size > budget
 
 
-# The walk's work follows its n^(k-2) leaves, each reached in O(1) and
-# read by two scans in C, so a fork pays only past a number of leaves.  On
-# a 2-vCPU VM, with pairs alternated and kept only while two parallel
-# spins took under 1.2 times one, one process against two lost or tied on
+# The walk's work follows its n^(k-2) leaves, each reached in O(1), so a
+# fork pays only past a number of leaves.  Measured while each leaf also
+# read the n counts of ball k - 1 by two scans in C, on a 2-vCPU VM, with
+# pairs alternated and kept only while two parallel spins took under 1.2
+# times one: one process against two lost or tied on
 # (6, 7), (4, 56), (7, 5), (5, 15), (6, 8), (5, 16), (8, 4) and (5, 17),
 # 2,401 to 4,913 leaves (2.9 against 3.5 ms for (6, 8)), tied on (5, 20),
 # 8,000 leaves, and won on (7, 6), 7,776 leaves, 7.6 against 5.2 ms.
@@ -130,62 +128,68 @@ def _workers(k: int, n: int) -> int:
     return min(cpus, n)
 
 
+def _placed(prefixes: dict, n: int) -> dict:
+    """The prefixes one ball longer than ``prefixes``, counted by (m, lam,
+    mu, unseen, once) as they are: of the n colors the new ball can take,
+    unseen become seen once, once make the prefix (m + 2, lam + 1, mu + 1)
+    with one color fewer seen once, and the rest make it (m + 1, lam,
+    mu + 1)."""
+    after: dict[tuple[int, int, int, int, int], int] = {}
+    for (m, lam, mu, unseen, once), times in prefixes.items():
+        for prefix, colors in (
+            ((m, lam, mu, unseen - 1, once + 1), unseen),
+            ((m + 2, lam + 1, mu + 1, unseen, once - 1), once),
+            ((m + 1, lam, mu + 1, unseen, once), n - unseen - once),
+        ):
+            if colors:
+                after[prefix] = after.get(prefix, 0) + colors * times
+    return after
+
+
 def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
     """Count the colorings whose first ball takes a color in ``first`` by
     their (m, lam, mu), walking them depth first without recursion.
 
     The walk places one ball at a time and carries the count of each color,
-    the (m, lam, mu) of the prefix placed so far, and how many of the colors
-    the last ball can take the prefix holds zero times (unseen) and exactly
-    once (once).  Each is updated by its definition applied to the ball just
-    placed, in O(1): an unseen color becomes seen once; a color held once
-    makes its first ball matched, its color repeated, and the new ball a
-    matched repeat; a color held twice or more adds a matched repeat.
-    Taking a ball off undoes its update.  No identity between the
-    statistics and no closed form is used.
+    the (m, lam, mu) of the prefix placed so far, and how many colors the
+    prefix holds zero times (unseen) and exactly once (once).  Each is
+    updated by its definition applied to the ball just placed, in O(1): an
+    unseen color becomes seen once; a color held once makes its first ball
+    matched, its color repeated, and the new ball a matched repeat; a color
+    held twice or more adds a matched repeat.  Taking a ball off undoes its
+    update.  No identity between the statistics and no closed form is used.
 
-    The walk stops at k - 2 balls, and each prefix it reaches there is a
-    leaf.  A leaf reads the count of every color ball k - 1 can take, in C
-    by ``list.count``: how many it holds zero times (zero) and exactly once
-    (one); it holds the rest twice or more.  The leaf then adds 1 to the
-    number of leaves with its (m, lam, mu, unseen, once, zero, one).  After
-    the walk each key is expanded twice by the same update: first into the
-    prefixes of k - 1 balls that end its leaves, zero of them in an unseen
-    color, one in a color seen once and the rest in a color seen more; then
-    each of those into the colorings that end it, unseen of them keeping
-    its (m, lam, mu), once moving it to (m + 2, lam + 1, mu + 1) and the
-    rest to (m + 1, lam, mu + 1).  Each group counts times the number of
-    leaves or prefixes it ends.  Beyond ``counts`` the walk holds one color
-    per ball.
+    The walk stops at k - 2 balls; each prefix there, a leaf, adds 1 to
+    the number of leaves with its (m, lam, mu, unseen, once).  Balls k - 1
+    and k can each take any color, so after the walk :func:`_placed` turns
+    the leaves into the prefixes of k - 1 balls that end them, and those
+    into their colorings, each group counted times the leaves or prefixes
+    it ends.  With k <= 2 there is no leaf, and the prefixes of k - 1 balls
+    are written down directly, the first ball taking only the colors in
+    ``first``.  Beyond ``counts`` the walk holds one color per ball.
     """
     if not k:
         return {(0, 0, 0): 1}  # the empty coloring
     if not first:
         return {}  # no color for the first ball: no coloring, however long
-    # (m, lam, mu, unseen, once) of each prefix -> how many prefixes have it
-    prefixes: dict[tuple[int, int, int, int, int], int] = {}
-    # The colors the last ball can take: all n, or, when it is the first
-    # ball as well, those in ``first``.
-    width = n if k > 1 else len(first)
     if k == 1:
-        prefixes[0, 0, 0, width, 0] = 1  # the empty prefix
+        return {(0, 0, 0): len(first)}  # one ball matches and repeats nothing
+    if k == 2:  # the first ball, in each of its colors, seen once
+        prefixes = {(0, 0, 0, n - 1, 1): len(first)}
     else:
-        # (m, lam, mu, unseen, once, zero, one) of each walk leaf -> how
-        # many leaves have it
-        leaves: dict[tuple[int, int, int, int, int, int, int], int] = {}
+        # (m, lam, mu, unseen, once) of each walk leaf -> how many leaves
+        # have it
+        leaves: dict[tuple[int, int, int, int, int], int] = {}
         get = leaves.get
         counts = [0] * n
-        walked = k - 2  # balls the walk places before the looped one
+        walked = k - 2  # balls the walk places
         placed = [0] * walked  # the color of each of them
-        # The counts ball k - 1 can meet: every color's, or, when it is
-        # the first ball, those of the colors in ``first``.
-        looped = counts if walked else [counts[c] for c in first]
         m = lam = mu = once = 0
-        unseen = width
+        unseen = n
         depth = 0
         c = first.start
         while True:
-            # Place color c, then color 0 on every ball up to the looped one.
+            # Place color c, then color 0 on every ball up to the leaf.
             while depth < walked:
                 cnt = counts[c]
                 if not cnt:
@@ -203,9 +207,7 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
                 placed[depth] = c
                 depth += 1
                 c = 0
-            # A leaf: read how many colors ball k - 1 meets zero times and
-            # once, each color's count looked at on its own.
-            leaf = (m, lam, mu, unseen, once, looped.count(0), looped.count(1))
+            leaf = (m, lam, mu, unseen, once)
             leaves[leaf] = get(leaf, 0) + 1
             # Take balls off until one can move on to its next color.
             while depth:
@@ -234,23 +236,10 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
                         break
             else:
                 break
-        for (m, lam, mu, unseen, once, zero, one), times in leaves.items():
-            for prefix, colors in (
-                ((m, lam, mu, unseen - 1, once + 1), zero),
-                ((m + 2, lam + 1, mu + 1, unseen, once - 1), one),
-                ((m + 1, lam, mu + 1, unseen, once), len(looped) - zero - one),
-            ):
-                if colors:
-                    prefixes[prefix] = prefixes.get(prefix, 0) + colors * times
+        prefixes = _placed(leaves, n)
     tally: dict[tuple[int, int, int], int] = {}
-    for (m, lam, mu, unseen, once), times in prefixes.items():
-        for cell, colorings in (
-            ((m, lam, mu), unseen),
-            ((m + 2, lam + 1, mu + 1), once),
-            ((m + 1, lam, mu + 1), width - unseen - once),
-        ):
-            if colorings:
-                tally[cell] = tally.get(cell, 0) + colorings * times
+    for (m, lam, mu, _, _), colorings in _placed(prefixes, n).items():
+        tally[m, lam, mu] = tally.get((m, lam, mu), 0) + colorings
     return tally
 
 

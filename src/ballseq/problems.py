@@ -17,9 +17,10 @@ n!/(n - d)!: the d colors in order of first use are an injection into the
 palette, and what is left of the count does not depend on n.  Those
 coefficients are the ordinary Stirling numbers S2(d + mu, d) for problem3
 and problem4, and a sequence B_m(d) built from the column a_lam for
-problem2.  Each sequence is cached by mu or m alone with the last column
-of the walk that built it, resumed on demand and folded by Horner's rule,
-so a call with a new n or k reads or extends what an earlier call built.
+problem2.  Each sequence is kept by mu or m alone with the last column of
+the walk that built it, resumed on demand and folded by Horner's rule, so
+a call with a new n or k reads or extends what an earlier call built, in
+one store of 32 MiB that evicts the sequences written longest ago.
 
 The census of distribution_table streams from one walk of a = S/lam! by
 rows m = 0..k, holding two rows and k + 1 running sums for the repeat
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 import math
 import threading
-from functools import lru_cache
 from itertools import accumulate
+from sys import getsizeof
 
 from .core import Count, _next_column, _record, _require_nonneg
 
@@ -50,51 +51,66 @@ class DistributionTable(_record("DistributionTable", "k n by_match_cell by_repea
     __slots__ = ()
 
 
-# The coefficient caches below hold one slot per mu or m: a one-item list
-# whose item is an immutable snapshot of a column walk, the sequence so far
-# first.  Readers take the snapshot without a lock; a writer resumes the
-# walk under the lock and replaces the snapshot whole, so no thread sees a
-# half-extended sequence.  The lock is reentrant because the walk that
-# extends B_m reads the column of a_lam = S(m, lam)/lam!, which may need
-# extending in turn.
+# One store keeps every coefficient sequence a walk has built, keyed by the
+# walk's name and the mu or m it is for, as an immutable snapshot: the
+# sequence so far and the walk's last column.  Readers take a snapshot with
+# one dict lookup and no lock; a writer re-reads it under the lock, resumes
+# the walk and stores the longer snapshot whole, so no thread sees a
+# half-extended sequence and two threads asking for the same terms extend it
+# once.  The lock is reentrant: extending B_m reads the column of a_lam =
+# S(m, lam)/lam!, which may need extending in turn.  A write moves its entry
+# to the end; then, while the bytes held pass the budget, the oldest entries
+# go, whole, since a sequence without its column could not be resumed, but
+# never the entry just written.
 _grow_lock = threading.RLock()
+_store: dict[tuple[str, int], tuple] = {}
+_stored_bytes = 0
+_STORE_BUDGET = 32 << 20
+_ENTRY_BYTES = 256  # an entry's key, its snapshot pair and its slot in the store
+_EMPTY = ((), ())
 
 
-def _grown(slot_of, key: int, top: int, extend) -> tuple[Count, ...]:
-    """The sequence in the slot ``slot_of(key)``, with at least top + 1 terms.
+def _size(snapshot: tuple) -> int:
+    """The bytes an entry holds, from above: an int held twice counts twice."""
+    diagonal, column = snapshot
+    return _ENTRY_BYTES + sum(map(getsizeof, (diagonal, column, *diagonal, *column)))
 
-    A shorter snapshot is replaced by ``extend(key, snapshot, top)``.  The
-    writer asks ``slot_of`` for the slot again under the lock, where the
-    call is a cache hit: two threads that missed the cache at once may each
-    have been handed a fresh slot, but only the cached one is extended, so
-    two threads asking for the same terms extend it once.
+
+def _grown(walk, key: int, top: int) -> tuple[Count, ...]:
+    """The sequence ``walk`` builds for ``key``, with at least top + 1 terms.
+
+    A shorter snapshot, or none, is replaced by ``walk(key, snapshot, top)``.
+    Entries are keyed by the walk's ``__name__``, so a wrapper made with
+    :func:`functools.wraps` shares them.
     """
-    snapshot = slot_of(key)[0]
+    global _stored_bytes
+    name = walk.__name__, key
+    snapshot = _store.get(name, _EMPTY)
     if len(snapshot[0]) <= top:
         with _grow_lock:
-            slot = slot_of(key)
-            snapshot = slot[0]
+            snapshot = _store.get(name, _EMPTY)
             if len(snapshot[0]) <= top:
-                snapshot = slot[0] = extend(key, snapshot, top)
+                grown = walk(key, snapshot, top)
+                # The walk's own writes may have evicted the entry meanwhile.
+                if name in _store:
+                    _stored_bytes -= _size(_store.pop(name))
+                snapshot = _store[name] = grown
+                _stored_bytes += _size(snapshot)
+                while _stored_bytes > _STORE_BUDGET and len(_store) > 1:
+                    _stored_bytes -= _size(_store.pop(next(iter(_store))))
     return snapshot[0]
 
 
 def _resume(snapshot: tuple, top: int, first: tuple[Count, ...], step) -> tuple:
     """Resume the walk of ``snapshot`` = (the last entries of columns
-    0..d - 1, column d - 1 or () for ``first``) up to column top, where
-    column d is ``step(d, column d - 1)``; only the last column is kept."""
+    0..d - 1, column d - 1) up to column top, where column 0 is ``first``
+    and column d is ``step(d, column d - 1)``; only the last column is
+    kept, and column 0, which is ``first`` again, as ()."""
     diagonal, column = list(snapshot[0]), snapshot[1] or first
     for d in range(len(diagonal), top + 1):
-        column = step(d, column)
+        column = step(d, column) if d else first
         diagonal.append(column[-1])
-    return tuple(diagonal), column
-
-
-@lru_cache(maxsize=4096)
-def _s2_slot(mu: int) -> list:
-    """Cache slot for S2(d + mu, d): the term at d = 0, with column 0 left
-    empty until a walk needs it, so a slot costs O(mu) only once walked."""
-    return [((int(mu == 0),), ())]
+    return tuple(diagonal), column if top else ()
 
 
 def _s2_walk(mu: int, snapshot: tuple, top: int) -> tuple:
@@ -117,13 +133,7 @@ def _s2_diagonal(mu: int, top: int) -> tuple[Count, ...]:
     """S2(d + mu, d), the Stirling numbers of the second kind (OEIS A008277),
     for d = 0..top at least: set partitions of d + mu labeled balls into
     d blocks."""
-    return _grown(_s2_slot, mu, top, _s2_walk)
-
-
-@lru_cache(maxsize=4096)
-def _column_slot(m: int) -> list:
-    """Cache slot for a_lam = S(m, lam)/lam!, begun as :func:`_s2_slot`."""
-    return [((int(m == 0),), ())]
+    return _grown(_s2_walk, mu, top)
 
 
 def _column_walk(m: int, snapshot: tuple, top: int) -> tuple:
@@ -143,13 +153,7 @@ def _column_walk(m: int, snapshot: tuple, top: int) -> tuple:
 def _partition_column(m: int, top: int) -> tuple[Count, ...]:
     """a_lam = S(m, lam)/lam! for lam = 0..min(m // 2, top) at least; the
     column has no more nonzero terms."""
-    return _grown(_column_slot, m, min(m // 2, top), _column_walk)
-
-
-@lru_cache(maxsize=4096)
-def _match_slot(m: int) -> list:
-    """Cache slot for B_m: a walk not yet begun."""
-    return [((), ())]
+    return _grown(_column_walk, m, min(m // 2, top))
 
 
 def _match_walk(m: int, snapshot: tuple, top: int) -> tuple:
@@ -165,7 +169,7 @@ def _match_walk(m: int, snapshot: tuple, top: int) -> tuple:
     """
     a = _partition_column(m, top) + (0,) * top  # a_lam = 0 past m // 2
     return _resume(
-        snapshot, top, (0,) * (m + 2),  # nothing summed before d = 0
+        snapshot, top, (a[0],) * (m + 2),  # every sum at d = 0 is a_0
         lambda d, column: tuple(accumulate(column[1:], initial=a[d])),
     )
 
@@ -220,7 +224,7 @@ def problem2_matches_any_length(n: int, m: int) -> Count:
     cached by m alone.
     """
     _require_nonneg(n=n, m=m)
-    total = _falling_fold(_grown(_match_slot, m, n, _match_walk), n)
+    total = _falling_fold(_grown(_match_walk, m, n), n)
     return total - math.factorial(n) if m == 0 else total
 
 
@@ -252,9 +256,12 @@ def problem4_repeats_any_length(n: int, mu: int) -> Count:
     The length d + mu holds S2(d + mu, d) * n!/(n - d)! such sequences, as
     in problem3, so the count is one fold over d = 1..n of the diagonal
     cached for mu.  The fold starts at d = 0, whose term S2(mu, 0) is 1
-    for the empty sequence alone, and takes that term off at the end.
+    for the empty sequence alone, and takes that term off at the end; with
+    n = 0 that is all there is, so nothing is read.
     """
     _require_nonneg(n=n, mu=mu)
+    if not n:
+        return 0
     diagonal = _s2_diagonal(mu, n)
     return _falling_fold(diagonal, n) - diagonal[0]
 

@@ -1,5 +1,6 @@
 """Tests for the aggregate problems and distribution tables."""
 
+import functools
 import math
 import sys
 import threading
@@ -361,9 +362,9 @@ def test_problems_match_reference_at_edges_and_large(problem, args):
 # ------------------------------------- folds over the number of colors used
 
 def _clear_aggregate_caches():
-    problems._column_slot.cache_clear()
-    problems._s2_slot.cache_clear()
-    problems._match_slot.cache_clear()
+    with problems._grow_lock:
+        problems._store.clear()
+        problems._stored_bytes = 0
 
 
 def _stirling2(total, d):
@@ -386,7 +387,9 @@ def test_s2_diagonal_matches_explicit_sum():
 def _count_calls(monkeypatch, name):
     calls = []
     walk = getattr(problems, name)
-    monkeypatch.setattr(problems, name, lambda *args: calls.append(args) or walk(*args))
+    # Under the walk's name, which the store keys its entries by.
+    counted = functools.wraps(walk)(lambda *args: calls.append(args) or walk(*args))
+    monkeypatch.setattr(problems, name, counted)
     return calls
 
 
@@ -427,34 +430,34 @@ def test_associated_stirling_matches_the_single_cell():
 
 @pytest.mark.parametrize("key", [0, 1, 2, 7, 40, 90])
 def test_slots_grown_in_steps_match_one_walk_and_the_references(monkeypatch, key):
-    # Each slot is asked for top 0, 3, 10 and 40 in turn.  Every top its
-    # snapshot does not yet hold must be one walk resumed from that
+    # Each stored sequence is asked for top 0, 3, 10 and 40 in turn.  Every
+    # top its snapshot does not yet hold must be one walk resumed from that
     # snapshot, and the steps must end where one walk from the empty
     # snapshot ends.  The a_lam column stops at lam = key // 2.
     readers = {
-        "_s2_walk": (problems._s2_slot, problems._s2_diagonal, 40),
-        "_column_walk": (problems._column_slot, problems._partition_column, key // 2),
-        "_match_walk": (
-            problems._match_slot,
-            lambda m, top: problems._grown(problems._match_slot, m, top, problems._match_walk),
-            40,
-        ),
+        "_s2_walk": (problems._s2_diagonal, 40),
+        "_column_walk": (problems._partition_column, key // 2),
+        "_match_walk": (lambda m, top: problems._grown(problems._match_walk, m, top), 40),
     }
     grown = {}
-    for name, (slot, read, cap) in readers.items():
+    for name, (read, cap) in readers.items():
         _clear_aggregate_caches()
         walk = getattr(problems, name)
-        empty = slot(key)[0]
+
+        def held():
+            return problems._store.get((name, key), problems._EMPTY)
+
+        empty = held()
         calls = _count_calls(monkeypatch, name)
         snapshots = []
         for top in (0, 3, 10, 40):
-            snapshots.append(slot(key)[0])
+            snapshots.append(held())
             read(key, top)
         tops = sorted({min(top, cap) for top in (0, 3, 10, 40)} - set(range(len(empty[0]))))
         assert [args[2] for args in calls] == tops, name
         assert all(args[1] in snapshots for args in calls), name
-        assert slot(key)[0] == (walk(key, empty, tops[-1]) if tops else empty), name
-        grown[name] = slot(key)[0][0]
+        assert held() == (walk(key, empty, tops[-1]) if tops else empty), name
+        grown[name] = held()[0]
     column = tuple(_associated_stirling(key, lam) for lam in range(min(key // 2, 40) + 1))
     assert grown["_s2_walk"] == tuple(_stirling2(d + key, d) for d in range(41))
     assert grown["_column_walk"] == column
@@ -599,7 +602,7 @@ def test_lopsided_shapes_are_fast_from_cold(problem, args, reference):
 def test_problem1_walk_stops_at_the_lambda_it_needs():
     # n - k + m = 5 caps lam at 5; a walk down the whole S(2995, lam)
     # column would take seconds.
-    problems._column_slot.cache_clear()
+    _clear_aggregate_caches()
     start = time.perf_counter()
     count = problem1_matches_fixed_length(3000, 10, 2995)
     assert time.perf_counter() - start < 1.0
@@ -623,19 +626,72 @@ def test_problem1_reads_the_columns_problem2_walked(monkeypatch):
     assert column_walks == []
 
 
-def test_aggregate_caches_are_bounded():
-    # More distinct keys than each bound.  A B_m or a_lam slot is filled by
-    # a walk of O(m) steps, so those slots are asked for directly; an S2
-    # slot holds nothing until walked, so problem4 asks for those.
+def _entry_bytes(snapshot):
+    """What one stored snapshot holds by sys.getsizeof, the pair and every
+    tuple and int in it, counted apart from the store's own estimate."""
+    return sys.getsizeof(snapshot) + sum(
+        sys.getsizeof(item) for part in snapshot for item in (part, *part)
+    )
+
+
+def _assert_within_budget():
+    held = [_entry_bytes(snapshot) for snapshot in problems._store.values()]
+    assert sum(held) <= problems._STORE_BUDGET + max(held)
+    # The running estimate is the sum of its entries', and bounds what they hold.
+    estimates = [problems._size(snapshot) for snapshot in problems._store.values()]
+    assert problems._stored_bytes == sum(estimates)
+    assert all(bytes_held <= estimate for bytes_held, estimate in zip(held, estimates))
+    assert problems._stored_bytes <= max(problems._STORE_BUDGET, max(estimates))
+
+
+def test_aggregate_caches_are_bounded(monkeypatch):
+    # More distinct keys than the 4,096 entries a kind once kept, each read
+    # to its first term only, which holds O(1): a smaller budget, which
+    # their fixed overhead passes, must still bound them.
+    monkeypatch.setattr(problems, "_STORE_BUDGET", 1 << 20)
     _clear_aggregate_caches()
     for key in range(4200):
-        problem4_repeats_any_length(0, key)
-        problems._match_slot(key)
-        problems._column_slot(key)
-    for cache in (problems._s2_slot, problems._match_slot, problems._column_slot):
-        info = cache.cache_info()
-        assert info.maxsize == 4096
-        assert info.currsize <= info.maxsize
+        problems._s2_diagonal(key, 0)
+        problems._partition_column(key, 0)
+        problems._grown(problems._match_walk, key, 0)
+    _assert_within_budget()
+    assert len(problems._store) < 3 * 4200
+
+
+def _sweep_within_budget(name, keys, count, reference):
+    _clear_aggregate_caches()
+    for key in keys:
+        count(key)
+    _assert_within_budget()
+    evicted = [key for key in keys if (name, key) not in problems._store]
+    assert evicted, name
+    for key in (evicted[0], evicted[len(evicted) // 2], evicted[-1]):
+        assert count(key) == reference(key), (name, key)
+
+
+def test_sweeps_hold_no_more_than_the_store_budget():
+    # Kept whole, the problem2 sweep held 59 MiB of columns and the
+    # problem3 sweep 46 MiB of S2 entries.  Each must end within the budget
+    # and one entry, and the keys it evicted must still count right.
+    _sweep_within_budget(
+        "_match_walk",
+        range(601),
+        lambda m: problem2_matches_any_length(10, m),
+        lambda m: reference_problem2(10, m),
+    )
+    _sweep_within_budget(
+        "_s2_walk",
+        range(801),
+        lambda mu: problem3_repeats_fixed_length(mu + 10, 10, mu),
+        lambda mu: reference_problem3(mu + 10, 10, mu),
+    )
+    # The lib-warm benchmark's warm-up keeps all it walks.
+    _clear_aggregate_caches()
+    for key in range(61):
+        problem2_matches_any_length(60, key)
+        problem4_repeats_any_length(60, key)
+    assert len(problems._store) == 3 * 61
+    assert problems._stored_bytes <= problems._STORE_BUDGET
 
 
 def test_single_cell_cache_is_bounded():
