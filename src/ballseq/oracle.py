@@ -5,21 +5,23 @@ balls one at a time and reaches each prefix of k - 2 balls on its own.  The
 statistics of a prefix are carried ball by ball, each ball applying the
 literal definition to the color it takes, in O(1) per ball.  Along with
 (m, lam, mu), each prefix carries how many colors it holds zero times and
-exactly once.  The walk tallies its leaves, the prefixes of k - 2 balls,
-by those five counts; after it, the same update by one ball turns each
-leaf into its prefixes of k - 1 balls and each of those into its
-colorings, each still classified by its own last color's count.  No
+exactly once, all five packed as the digits of one int.  The walk places
+k - 3 balls and loops over the colors of ball k - 2 inline, each color
+ending one leaf, a prefix of k - 2 balls, tallied by those five counts
+from that color's own count; after the walk, the same update by one ball
+turns each leaf into its prefixes of k - 1 balls and each of those into
+its colorings, each still classified by its own last color's count.  No
 closed form, no symmetry shortcut, no sampling.  That independence is the
 point; :func:`verify` compares these tallies against the formula side
 cell by cell.  Requests too large to enumerate are refused, never
 truncated.
 
-A walk of at least 7,776 leaves and 65,536 colorings is shared between
-processes: the colors of the first ball are dealt round-robin to one
-process per usable CPU, the extra ones made with ``os.fork``, and their
-tallies are summed.  Each leaf is still reached, and each coloring
-classified, on its own; only the process that counts it changes.  Where
-there is no ``os.fork`` or only one CPU, the whole walk runs in-process.
+A walk of at least 19,683 leaves is shared between processes: the colors
+of the first ball are dealt round-robin to one process per usable CPU,
+the extra ones made with ``os.fork``, and their tallies are summed.  Each
+leaf is still reached, and each coloring classified, on its own; only the
+process that counts it changes.  Where there is no ``os.fork`` or only one
+CPU, the whole walk runs in-process.
 
 ``BudgetExceeded`` and ``DEFAULT_BUDGET`` are defined in
 :mod:`ballseq.core` and re-exported here.  ``import ballseq`` does not
@@ -96,18 +98,17 @@ def _exceeds_budget(k: int, n: int, budget: int) -> bool:
 
 
 # The walk's work follows its n^(k-2) leaves, each reached in O(1), so a
-# fork pays only past a number of leaves.  Measured while each leaf also
-# read the n counts of ball k - 1 by two scans in C, on a 2-vCPU VM, with
-# pairs alternated and kept only while two parallel spins took under 1.2
-# times one: one process against two lost or tied on
-# (6, 7), (4, 56), (7, 5), (5, 15), (6, 8), (5, 16), (8, 4) and (5, 17),
-# 2,401 to 4,913 leaves (2.9 against 3.5 ms for (6, 8)), tied on (5, 20),
-# 8,000 leaves, and won on (7, 6), 7,776 leaves, 7.6 against 5.2 ms.
-_SPLIT_LEAVES = 7776
-# Nor is a walk of fewer colorings than this split, the floor that small
-# shapes have always kept.  From 7,776 leaves up it keeps only (15, 2)
-# in one process.
-_SPLIT_MIN = 65536
+# fork pays only past a number of leaves.  Measured with ball k - 2 looped
+# inline, on a 2-vCPU VM, in three runs of 11 to 21 pairs alternated and
+# kept only while two parallel spins took under 1.2 times one: one process
+# beat two on (7, 6), 7,776 leaves (2.8 against 3.9 ms), and on the wide
+# (4, 128) and (5, 26), 16,384 and 17,576 leaves (3.5 against 5.0 ms for
+# (4, 128)), tied with them on (7, 7) and (6, 12), and lost to them on
+# (11, 3), 19,683 leaves (9.2 against 7.2 ms), and on every shape measured
+# from 32,768 leaves up.  A narrow walk costs more per leaf, so two
+# processes already won by about 10% on (16, 2), 16,384 leaves, and in two
+# runs of three on (9, 4), 16,384 leaves.
+_SPLIT_LEAVES = 19683
 
 
 def _workers(k: int, n: int) -> int:
@@ -117,7 +118,6 @@ def _workers(k: int, n: int) -> int:
     if (
         not hasattr(os, "fork")
         or not _exceeds_budget(k - 2, n, _SPLIT_LEAVES - 1)
-        or not _exceeds_budget(k, n, _SPLIT_MIN - 1)
         or threading.active_count() > 1
     ):
         return 1
@@ -150,23 +150,31 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
     """Count the colorings whose first ball takes a color in ``first`` by
     their (m, lam, mu), walking them depth first without recursion.
 
-    The walk places one ball at a time and carries the count of each color,
-    the (m, lam, mu) of the prefix placed so far, and how many colors the
-    prefix holds zero times (unseen) and exactly once (once).  Each is
-    updated by its definition applied to the ball just placed, in O(1): an
-    unseen color becomes seen once; a color held once makes its first ball
-    matched, its color repeated, and the new ball a matched repeat; a color
-    held twice or more adds a matched repeat.  Taking a ball off undoes its
-    update.  No identity between the statistics and no closed form is used.
+    The walk places one ball at a time and carries the count of each color
+    and one key: the (m, lam, mu) of the prefix placed so far and how many
+    colors it holds zero times (unseen) and exactly once (once), each a
+    digit of a mixed-radix int of base max(k, n) + 1, wide enough that no
+    digit carries into the next.  Each is updated by its definition applied
+    to the ball just placed, in O(1), through the key's delta for the count
+    the ball's color had before it: an unseen color becomes seen once; a
+    color held once makes its first ball matched, its color repeated, and
+    the new ball a matched repeat; a color held twice or more adds a
+    matched repeat.  Taking a ball off subtracts the same delta.  No
+    identity between the statistics and no closed form is used.
 
-    The walk stops at k - 2 balls; each prefix there, a leaf, adds 1 to
-    the number of leaves with its (m, lam, mu, unseen, once).  Balls k - 1
-    and k can each take any color, so after the walk :func:`_placed` turns
-    the leaves into the prefixes of k - 1 balls that end them, and those
-    into their colorings, each group counted times the leaves or prefixes
-    it ends.  With k <= 2 there is no leaf, and the prefixes of k - 1 balls
-    are written down directly, the first ball taking only the colors in
-    ``first``.  Beyond ``counts`` the walk holds one color per ball.
+    The walk places k - 3 balls and loops over the colors of ball k - 2
+    inline, over those in ``first`` when k = 3.  Each color ends one walk
+    leaf, a prefix of k - 2 balls whose key is the walk's key plus the
+    delta for that color's own count, and adds 1 to the number of leaves
+    with that key: one increment per leaf, with no shortcut by classes of
+    colors.  After the walk the keys are decoded into (m, lam, mu, unseen,
+    once), and since balls k - 1 and k can each take any color,
+    :func:`_placed` turns the leaves into the prefixes of k - 1 balls that
+    end them, and those into their colorings, each group counted times the
+    leaves or prefixes it ends.  With k <= 2 there is no leaf, and the
+    prefixes of k - 1 balls are written down directly, the first ball
+    taking only the colors in ``first``.  Beyond ``counts`` the walk holds
+    one color per ball.
     """
     if not k:
         return {(0, 0, 0): 1}  # the empty coloring
@@ -177,55 +185,44 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
     if k == 2:  # the first ball, in each of its colors, seen once
         prefixes = {(0, 0, 0, n - 1, 1): len(first)}
     else:
-        # (m, lam, mu, unseen, once) of each walk leaf -> how many leaves
-        # have it
-        leaves: dict[tuple[int, int, int, int, int], int] = {}
+        # The key is m + base*lam + base^2*mu + base^3*unseen + base^4*once.
+        base = max(k, n) + 1
+        unseen_digit = base**3
+        once_digit = base * unseen_digit
+        # The key's delta when a ball takes a color held 0 or 1 times before
+        # it, and when it takes one held twice or more.
+        delta = (once_digit - unseen_digit, 2 + base + base * base - once_digit)
+        delta_more = 1 + base * base
+        # walk leaf key -> how many leaves have it
+        leaves: dict[int, int] = {}
         get = leaves.get
         counts = [0] * n
-        walked = k - 2  # balls the walk places
+        walked = k - 3  # balls the walk places before ball k - 2
         placed = [0] * walked  # the color of each of them
-        m = lam = mu = once = 0
-        unseen = n
+        # the counts of the colors that ball k - 2 can take
+        last = counts if walked else [counts[c] for c in first]
+        key = n * unseen_digit
         depth = 0
         c = first.start
         while True:
-            # Place color c, then color 0 on every ball up to the leaf.
+            # Place color c, then color 0 on every ball up to ball k - 3.
             while depth < walked:
                 cnt = counts[c]
-                if not cnt:
-                    unseen -= 1
-                    once += 1
-                elif cnt == 1:
-                    m += 2
-                    lam += 1
-                    mu += 1
-                    once -= 1
-                else:
-                    m += 1
-                    mu += 1
+                key += delta_more if cnt > 1 else delta[cnt]
                 counts[c] = cnt + 1
                 placed[depth] = c
                 depth += 1
                 c = 0
-            leaf = (m, lam, mu, unseen, once)
-            leaves[leaf] = get(leaf, 0) + 1
+            for cnt in last:
+                leaf = key + (delta_more if cnt > 1 else delta[cnt])
+                leaves[leaf] = get(leaf, 0) + 1
             # Take balls off until one can move on to its next color.
             while depth:
                 depth -= 1
                 c = placed[depth]
                 cnt = counts[c] - 1
                 counts[c] = cnt
-                if not cnt:
-                    unseen += 1
-                    once -= 1
-                elif cnt == 1:
-                    m -= 2
-                    lam -= 1
-                    mu -= 1
-                    once += 1
-                else:
-                    m -= 1
-                    mu -= 1
+                key -= delta_more if cnt > 1 else delta[cnt]
                 if depth:
                     c += 1
                     if c < n:
@@ -236,7 +233,14 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
                         break
             else:
                 break
-        prefixes = _placed(leaves, n)
+        decoded: dict[tuple[int, int, int, int, int], int] = {}
+        for key, times in leaves.items():
+            key, m = divmod(key, base)
+            key, lam = divmod(key, base)
+            key, mu = divmod(key, base)
+            once, unseen = divmod(key, base)
+            decoded[m, lam, mu, unseen, once] = times
+        prefixes = _placed(decoded, n)
     tally: dict[tuple[int, int, int], int] = {}
     for (m, lam, mu, _, _), colorings in _placed(prefixes, n).items():
         tally[m, lam, mu] = tally.get((m, lam, mu), 0) + colorings

@@ -259,10 +259,10 @@ def test_split_enumeration_matches_literal_census(monkeypatch, workers):
 
 def test_small_shapes_never_fork(monkeypatch):
     def fork():
-        raise AssertionError(f"forked for fewer than {oracle._SPLIT_MIN} colorings")
+        raise AssertionError(f"forked for fewer than {oracle._SPLIT_LEAVES} walk leaves")
 
     monkeypatch.setattr(os, "fork", fork, raising=False)
-    # (5, 9) and (10, 3) have 59,049 colorings, just under the threshold.
+    # Few colorings make few walk leaves: (5, 9) has 729 and (10, 3) 6,561.
     shapes = [(0, 5000), (5000, 1), (11, 2), (7, 3), (3, 15), (2, 63), (5, 9), (10, 3)]
     for k, n in shapes:
         table = enumerate_counts(k, n)
@@ -276,32 +276,35 @@ def test_walks_of_few_leaves_never_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", fork, raising=False)
     # Each has 65,536 colorings or more but few walk leaves of k - 2 balls:
     # (2, 3162) has 10^7 colorings and one leaf, (3, 215) 9.9 M colorings
-    # and 215 leaves, and (5, 19) 6,859 leaves, just under the threshold.
+    # and 215 leaves, and (9, 4) and (16, 2) 16,384 leaves, under the
+    # threshold.
     shapes = [(2, 256), (2, 1000), (2, 3162), (3, 60), (3, 127), (3, 215), (4, 25), (5, 19)]
+    shapes += [(7, 6), (9, 4), (16, 2)]
     for k, n in shapes:
         table = enumerate_counts(k, n)
         assert sum(table.by_match_cell.values()) == n**k, (k, n)
 
 
 @needs_fork
-def test_split_starts_at_both_thresholds(monkeypatch):
+def test_split_starts_at_the_leaf_threshold(monkeypatch):
     monkeypatch.setattr(oracle.threading, "active_count", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    # (7, 6) has 7,776 walk leaves and (5, 19) 6,859; (15, 2) has 8,192
-    # leaves but 32,768 colorings, and (16, 2) 65,536 colorings; (10, 3),
-    # with 6,561 leaves and 59,049 colorings, is under both thresholds.
-    assert [oracle._workers(k, n) for k, n in [(7, 6), (11, 3), (16, 2)]] == [2, 2, 2]
-    shapes = [(5, 19), (15, 2), (10, 3), (1, 10**6)]
-    assert [oracle._workers(k, n) for k, n in shapes] == [1, 1, 1, 1]
+    # (11, 3) has 19,683 walk leaves, (6, 12) 20,736 and (17, 2) 32,768;
+    # (5, 26) has 17,576, (9, 4) and (16, 2) 16,384, (15, 2) 8,192 and
+    # (7, 6) 7,776.
+    assert [oracle._workers(k, n) for k, n in [(11, 3), (6, 12), (17, 2)]] == [2, 2, 2]
+    shapes = [(5, 26), (9, 4), (16, 2), (15, 2), (7, 6), (5, 19), (10, 3), (1, 10**6)]
+    assert [oracle._workers(k, n) for k, n in shapes] == [1] * len(shapes)
 
 
 # Every k <= 7 and n <= 6 small enough to classify literally, k = 0 and
-# n = 0 included, then wide palettes, where each walk leaf reads hundreds
-# of color counts for ball k - 1, and deep narrow ones, where the walk
-# places and takes off balls on many levels above it.
+# n = 0 included, then wide palettes, where the walk loops over hundreds of
+# colors for ball k - 2, over the first ball's stripe when k = 3; and deep
+# narrow ones, where the walk places and takes off balls on many levels
+# above it and a color's count reaches k - 2.
 TALLY_SHAPES = [(k, n) for k in range(8) for n in range(7) if n**k <= 2 * 10**5]
 TALLY_SHAPES += [(1, 500), (2, 300), (3, 45), (4, 14), (12, 2), (9, 3), (15, 2)]
-TALLY_SHAPES += [(3, 150), (8, 4)]
+TALLY_SHAPES += [(3, 150), (8, 4), (3, 31), (4, 11), (17, 2)]
 
 
 def _literal_tally(k, n):
@@ -323,6 +326,19 @@ def test_tally_matches_literal_classification(k, n):
             for i in range(w):
                 stripes.update(oracle._tally(k, n, range(i, n, w)))
             assert dict(stripes) == full, w
+
+
+@pytest.mark.parametrize("k, n", [(3, 215), (21, 2)])
+def test_tally_matches_the_closed_forms_past_literal_reach(k, n):
+    expected = distribution_table(k, n)
+    for w in (1, 2, 3):
+        by_match_cell, by_repeat_count = Counter(), Counter()
+        for i in range(w):
+            for (m, lam, mu), count in oracle._tally(k, n, range(i, n, w)).items():
+                by_match_cell[m, lam] += count
+                by_repeat_count[mu] += count
+        assert dict(by_match_cell) == expected.by_match_cell, w
+        assert dict(by_repeat_count) == expected.by_repeat_count, w
 
 
 def test_one_color_walk_holds_one_small_int_per_ball():
