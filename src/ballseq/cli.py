@@ -1,19 +1,6 @@
 """Command-line front end for the counting library.
 
-Subcommands mirror the library surface: single cells (z, s), the four
-aggregate problems, full distribution tables, and oracle verification.
-Output is deterministic: plain decimal counts, TSV tables, or JSON records
-with counts as decimal strings so arbitrary precision survives consumers
-whose native numbers would overflow.
-
-Exit codes: 0 success or verification pass, 1 usage error, 2 verification
-mismatch, 3 budget exceeded, 4 any other error (reported as one "error:"
-line on stderr, never as a traceback).
-
-Only verify and verify-range load the brute-force oracle, on first use,
-and only --format json loads json, so that the other commands start
-sooner; table writes its JSON by hand and never loads json.
-BudgetExceeded and DEFAULT_BUDGET come from ballseq.core.
+Its subcommands, output, exit codes and lazy imports: see ``_DESCRIPTION``.
 """
 
 from __future__ import annotations
@@ -33,8 +20,7 @@ from .problems import (
     problem4_repeats_any_length,
 )
 
-# The text of ``ballseq --help`` above the command list, kept apart from
-# the module docstring so that editing the one leaves the other's bytes.
+# The text of ``ballseq --help`` above the command list.
 _DESCRIPTION = """Command-line front end for the counting library.
 
 Subcommands mirror the library surface: single cells (z, s), the four

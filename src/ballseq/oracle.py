@@ -2,19 +2,18 @@
 
 Everything here works by brute force: a depth-first walk places the
 balls one at a time and reaches each prefix of k - 2 balls on its own.  The
-statistics of a prefix are carried ball by ball, each ball applying the
-literal definition to the color it takes, in O(1) per ball.  Along with
-(m, lam, mu), each prefix carries how many colors it holds zero times and
-exactly once, all five packed as the digits of one int.  The walk places
+statistics of a prefix are carried ball by ball as two counts, how many
+colors it holds zero times and how many exactly once, each ball updating
+them from the count its own color had, in O(1) per ball.  The walk places
 k - 3 balls and loops over the colors of ball k - 2 inline, each color
-ending one leaf, a prefix of k - 2 balls, tallied by those five counts
-from that color's own count; after the walk, the same update by one ball
-turns each leaf into its prefixes of k - 1 balls and each of those into
-its colorings, each still classified by its own last color's count.  No
-closed form, no symmetry shortcut, no sampling.  That independence is the
-point; :func:`verify` compares these tallies against the formula side
-cell by cell.  Requests too large to enumerate are refused, never
-truncated.
+ending one leaf, a prefix of k - 2 balls, tallied by those two counts;
+after the walk, the same update by one ball turns each leaf into its
+prefixes of k - 1 balls and each of those into its colorings.  Each
+coloring's (m, lam, mu) is read off its two counts by the definition of
+each.  No closed form, no symmetry shortcut, no sampling.  That
+independence is the point; :func:`verify` compares these tallies against
+the formula side cell by cell.  Requests too large to enumerate are
+refused, never truncated.
 
 A walk of at least 19,683 leaves is shared between processes: the colors
 of the first ball are dealt round-robin to one process per usable CPU,
@@ -129,17 +128,16 @@ def _workers(k: int, n: int) -> int:
 
 
 def _placed(prefixes: dict, n: int) -> dict:
-    """The prefixes one ball longer than ``prefixes``, counted by (m, lam,
-    mu, unseen, once) as they are: of the n colors the new ball can take,
-    unseen become seen once, once make the prefix (m + 2, lam + 1, mu + 1)
-    with one color fewer seen once, and the rest make it (m + 1, lam,
-    mu + 1)."""
-    after: dict[tuple[int, int, int, int, int], int] = {}
-    for (m, lam, mu, unseen, once), times in prefixes.items():
+    """The prefixes one ball longer than ``prefixes``, counted by (unseen,
+    once) as they are: of the n colors the new ball can take, unseen become
+    seen once, once become held twice, and the rest leave both counts as
+    they were."""
+    after: dict[tuple[int, int], int] = {}
+    for (unseen, once), times in prefixes.items():
         for prefix, colors in (
-            ((m, lam, mu, unseen - 1, once + 1), unseen),
-            ((m + 2, lam + 1, mu + 1, unseen, once - 1), once),
-            ((m + 1, lam, mu + 1, unseen, once), n - unseen - once),
+            ((unseen - 1, once + 1), unseen),
+            ((unseen, once - 1), once),
+            ((unseen, once), n - unseen - once),
         ):
             if colors:
                 after[prefix] = after.get(prefix, 0) + colors * times
@@ -151,48 +149,43 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
     their (m, lam, mu), walking them depth first without recursion.
 
     The walk places one ball at a time and carries the count of each color
-    and one key: the (m, lam, mu) of the prefix placed so far and how many
-    colors it holds zero times (unseen) and exactly once (once), each a
-    digit of a mixed-radix int of base max(k, n) + 1, wide enough that no
-    digit carries into the next.  Each is updated by its definition applied
-    to the ball just placed, in O(1), through the key's delta for the count
-    the ball's color had before it: an unseen color becomes seen once; a
-    color held once makes its first ball matched, its color repeated, and
-    the new ball a matched repeat; a color held twice or more adds a
-    matched repeat.  Taking a ball off subtracts the same delta.  No
-    identity between the statistics and no closed form is used.
+    and one key, unseen + (n + 1) * once, where unseen is the number of
+    colors the prefix placed so far holds zero times and once the number it
+    holds exactly once.  Each ball moves the key by the count its color had
+    before it, in O(1): an unseen color becomes seen once (+n), a color held
+    once becomes held twice (-(n + 1)), and a color held twice or more
+    leaves the key alone.  Taking a ball off undoes its move.
 
     The walk places k - 3 balls and loops over the colors of ball k - 2
     inline, over those in ``first`` when k = 3.  Each color ends one walk
-    leaf, a prefix of k - 2 balls whose key is the walk's key plus the
-    delta for that color's own count, and adds 1 to the number of leaves
-    with that key: one increment per leaf, with no shortcut by classes of
-    colors.  After the walk the keys are decoded into (m, lam, mu, unseen,
-    once), and since balls k - 1 and k can each take any color,
-    :func:`_placed` turns the leaves into the prefixes of k - 1 balls that
-    end them, and those into their colorings, each group counted times the
-    leaves or prefixes it ends.  With k <= 2 there is no leaf, and the
-    prefixes of k - 1 balls are written down directly, the first ball
-    taking only the colors in ``first``.  Beyond ``counts`` the walk holds
-    one color per ball.
+    leaf, a prefix of k - 2 balls whose key is the walk's key moved by that
+    color's own count, and adds 1 to the number of leaves with that key:
+    one increment per leaf, with no shortcut by classes of colors.  Since
+    balls k - 1 and k can each take any color, :func:`_placed` then turns
+    the leaves into the prefixes of k - 1 balls that end them, and those
+    into their colorings, each group counted times the leaves or prefixes
+    it ends.  With k <= 2 there is no walk: the prefixes of one ball, its
+    color one of those in ``first``, are written down directly.  Beyond
+    ``counts`` the walk holds one color per ball.
+
+    Each of m, lam and mu is then read off a coloring's (unseen, once) by
+    its own definition: a ball is matched unless its color is held once,
+    so m = k - once; a color repeats when it is held twice or more, so
+    lam = n - unseen - once; and a ball repeats unless it is its color's
+    first, so mu = k - (n - unseen).  No relation between them, such as
+    m = lam + mu, and no closed form is used.  At a fixed k each (unseen,
+    once) gives its own (m, lam, mu), so no two groups meet in the tally.
     """
     if not k:
         return {(0, 0, 0): 1}  # the empty coloring
     if not first:
         return {}  # no color for the first ball: no coloring, however long
-    if k == 1:
-        return {(0, 0, 0): len(first)}  # one ball matches and repeats nothing
-    if k == 2:  # the first ball, in each of its colors, seen once
-        prefixes = {(0, 0, 0, n - 1, 1): len(first)}
+    if k <= 2:  # the first ball, in each of its colors, seen once
+        prefixes, length = {(n - 1, 1): len(first)}, 1
     else:
-        # The key is m + base*lam + base^2*mu + base^3*unseen + base^4*once.
-        base = max(k, n) + 1
-        unseen_digit = base**3
-        once_digit = base * unseen_digit
-        # The key's delta when a ball takes a color held 0 or 1 times before
-        # it, and when it takes one held twice or more.
-        delta = (once_digit - unseen_digit, 2 + base + base * base - once_digit)
-        delta_more = 1 + base * base
+        # The key's move when a ball takes a color held 0 or 1 times before
+        # it; a color held twice or more does not move it.
+        move = (n, -n - 1)
         # walk leaf key -> how many leaves have it
         leaves: dict[int, int] = {}
         get = leaves.get
@@ -201,20 +194,21 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
         placed = [0] * walked  # the color of each of them
         # the counts of the colors that ball k - 2 can take
         last = counts if walked else [counts[c] for c in first]
-        key = n * unseen_digit
+        key = n  # no ball placed: all n colors unseen
         depth = 0
         c = first.start
         while True:
             # Place color c, then color 0 on every ball up to ball k - 3.
             while depth < walked:
                 cnt = counts[c]
-                key += delta_more if cnt > 1 else delta[cnt]
+                if cnt < 2:
+                    key += move[cnt]
                 counts[c] = cnt + 1
                 placed[depth] = c
                 depth += 1
                 c = 0
             for cnt in last:
-                leaf = key + (delta_more if cnt > 1 else delta[cnt])
+                leaf = key + move[cnt] if cnt < 2 else key
                 leaves[leaf] = get(leaf, 0) + 1
             # Take balls off until one can move on to its next color.
             while depth:
@@ -222,7 +216,8 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
                 c = placed[depth]
                 cnt = counts[c] - 1
                 counts[c] = cnt
-                key -= delta_more if cnt > 1 else delta[cnt]
+                if cnt < 2:
+                    key -= move[cnt]
                 if depth:
                     c += 1
                     if c < n:
@@ -233,18 +228,15 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
                         break
             else:
                 break
-        decoded: dict[tuple[int, int, int, int, int], int] = {}
-        for key, times in leaves.items():
-            key, m = divmod(key, base)
-            key, lam = divmod(key, base)
-            key, mu = divmod(key, base)
-            once, unseen = divmod(key, base)
-            decoded[m, lam, mu, unseen, once] = times
-        prefixes = _placed(decoded, n)
-    tally: dict[tuple[int, int, int], int] = {}
-    for (m, lam, mu, _, _), colorings in _placed(prefixes, n).items():
-        tally[m, lam, mu] = tally.get((m, lam, mu), 0) + colorings
-    return tally
+        base = n + 1  # unseen <= n, so once = key // base and unseen = key % base
+        prefixes = {(leaf % base, leaf // base): times for leaf, times in leaves.items()}
+        length = k - 2
+    for _ in range(length, k):  # each later ball takes any of the n colors
+        prefixes = _placed(prefixes, n)
+    return {
+        (k - once, n - unseen - once, k - (n - unseen)): colorings
+        for (unseen, once), colorings in prefixes.items()
+    }
 
 
 def _tally_in_child(k: int, n: int, first: range, read_end: int, write_end: int) -> None:

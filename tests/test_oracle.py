@@ -328,7 +328,9 @@ def test_tally_matches_literal_classification(k, n):
             assert dict(stripes) == full, w
 
 
-@pytest.mark.parametrize("k, n", [(3, 215), (21, 2)])
+# (4, 128) walks a wide palette with k >= 4, as no TALLY_SHAPES entry does;
+# its leaf keys, unseen + 129 * once, reach 384.
+@pytest.mark.parametrize("k, n", [(3, 215), (21, 2), (4, 128)])
 def test_tally_matches_the_closed_forms_past_literal_reach(k, n):
     expected = distribution_table(k, n)
     for w in (1, 2, 3):
