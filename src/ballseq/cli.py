@@ -295,8 +295,8 @@ def _uncapped_int_digits() -> Iterator[None]:
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv (sys.argv by default), dispatch, and return the exit
-    status: 0 ok/pass, 1 usage, 2 mismatch, 3 budget, 4 any other error.
-    Counts of any size are printed in full."""
+    status: 0 ok/pass, 1 usage, 2 mismatch, 3 budget, 4 any other error,
+    an interrupt included.  Counts of any size are printed in full."""
     parser = _build_parser()
     with _uncapped_int_digits():
         try:
@@ -311,6 +311,9 @@ def run(argv: list[str] | None = None) -> int:
         except BudgetExceeded as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_BUDGET
+        except KeyboardInterrupt:
+            print("error: interrupted", file=sys.stderr)
+            return EXIT_ERROR
         except Exception as err:
             print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
             return EXIT_ERROR

@@ -1,26 +1,19 @@
 """Exhaustive ground truth for the closed-form counts.
 
-Everything here works by brute force: a depth-first walk places the
-balls one at a time and reaches each prefix of k - 2 balls on its own.  The
-statistics of a prefix are carried ball by ball as two counts, how many
-colors it holds zero times and how many exactly once, each ball updating
-them from the count its own color had, in O(1) per ball.  The walk places
-k - 3 balls and loops over the colors of ball k - 2 inline, each color
-ending one leaf, a prefix of k - 2 balls, tallied by those two counts;
-after the walk, the same update by one ball turns each leaf into its
-prefixes of k - 1 balls and each of those into its colorings.  Each
-coloring's (m, lam, mu) is read off its two counts by the definition of
-each.  No closed form, no symmetry shortcut, no sampling.  That
-independence is the point; :func:`verify` compares these tallies against
-the formula side cell by cell.  Requests too large to enumerate are
-refused, never truncated.
-
-A walk of at least 19,683 leaves is shared between processes: the colors
-of the first ball are dealt round-robin to one process per usable CPU,
-the extra ones made with ``os.fork``, and their tallies are summed.  Each
-leaf is still reached, and each coloring classified, on its own; only the
-process that counts it changes.  Where there is no ``os.fork`` or only one
-CPU, the whole walk runs in-process.
+Everything here works by brute force, in one process: a depth-first walk
+places the balls one at a time and reaches each prefix of k - 2 balls on its
+own.  The statistics of a prefix are carried ball by ball as two counts, how
+many colors it holds zero times and how many exactly once, each ball
+updating them from the count its own color had, in O(1) per ball.  The walk
+places k - 4 balls and loops over the colors of balls k - 3 and k - 2
+inline, each color of ball k - 2 ending one leaf, a prefix of k - 2 balls,
+tallied by those two counts in a flat table; after the walk, the same update
+by one ball turns each leaf into its prefixes of k - 1 balls and each of
+those into its colorings.  Each coloring's (m, lam, mu) is read off its two
+counts by the definition of each.  No closed form, no symmetry shortcut, no
+sampling.  That independence is the point; :func:`verify` compares these
+tallies against the formula side cell by cell.  Requests too large to
+enumerate are refused, never truncated.
 
 ``BudgetExceeded`` and ``DEFAULT_BUDGET`` are defined in
 :mod:`ballseq.core` and re-exported here.  ``import ballseq`` does not
@@ -28,10 +21,6 @@ load this module; it is loaded on first use of one of its names.
 """
 
 from __future__ import annotations
-
-import marshal
-import os
-import threading
 
 from . import core, problems
 from .core import DEFAULT_BUDGET, BudgetExceeded, Count, SequenceClass, _record
@@ -96,37 +85,6 @@ def _exceeds_budget(k: int, n: int, budget: int) -> bool:
     return size > budget
 
 
-# The walk's work follows its n^(k-2) leaves, each reached in O(1), so a
-# fork pays only past a number of leaves.  Measured with ball k - 2 looped
-# inline, on a 2-vCPU VM, in three runs of 11 to 21 pairs alternated and
-# kept only while two parallel spins took under 1.2 times one: one process
-# beat two on (7, 6), 7,776 leaves (2.8 against 3.9 ms), and on the wide
-# (4, 128) and (5, 26), 16,384 and 17,576 leaves (3.5 against 5.0 ms for
-# (4, 128)), tied with them on (7, 7) and (6, 12), and lost to them on
-# (11, 3), 19,683 leaves (9.2 against 7.2 ms), and on every shape measured
-# from 32,768 leaves up.  A narrow walk costs more per leaf, so two
-# processes already won by about 10% on (16, 2), 16,384 leaves, and in two
-# runs of three on (9, 4), 16,384 leaves.
-_SPLIT_LEAVES = 19683
-
-
-def _workers(k: int, n: int) -> int:
-    """How many processes share the walk of n^k colorings: one per usable
-    CPU, at most n, and just this one where forking is missing, unsafe
-    (other threads are running) or not worth its cost."""
-    if (
-        not hasattr(os, "fork")
-        or not _exceeds_budget(k - 2, n, _SPLIT_LEAVES - 1)
-        or threading.active_count() > 1
-    ):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, n)
-
-
 def _placed(prefixes: dict, n: int) -> dict:
     """The prefixes one ball longer than ``prefixes``, counted by (unseen,
     once) as they are: of the n colors the new ball can take, unseen become
@@ -144,29 +102,29 @@ def _placed(prefixes: dict, n: int) -> dict:
     return after
 
 
-def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
-    """Count the colorings whose first ball takes a color in ``first`` by
-    their (m, lam, mu), walking them depth first without recursion.
+def _tally(k: int, n: int) -> dict[tuple[int, int, int], int]:
+    """Count the n^k colorings by their (m, lam, mu), walking their prefixes
+    of k - 2 balls depth first without recursion.
 
-    The walk places one ball at a time and carries the count of each color
-    and one key, unseen + (n + 1) * once, where unseen is the number of
-    colors the prefix placed so far holds zero times and once the number it
-    holds exactly once.  Each ball moves the key by the count its color had
-    before it, in O(1): an unseen color becomes seen once (+n), a color held
-    once becomes held twice (-(n + 1)), and a color held twice or more
-    leaves the key alone.  Taking a ball off undoes its move.
+    The walk carries the count of each color and one key, unseen + (n + 1)
+    * once, where unseen is the number of colors the prefix placed so far
+    holds zero times and once the number it holds exactly once.  Each ball
+    moves the key by the count its color had before it, in O(1): an unseen
+    color becomes seen once (+n), a color held once becomes held twice
+    (-(n + 1)), and a color held twice or more leaves the key alone.
+    Taking a ball off undoes its move.
 
-    The walk places k - 3 balls and loops over the colors of ball k - 2
-    inline, over those in ``first`` when k = 3.  Each color ends one walk
-    leaf, a prefix of k - 2 balls whose key is the walk's key moved by that
-    color's own count, and adds 1 to the number of leaves with that key:
-    one increment per leaf, with no shortcut by classes of colors.  Since
-    balls k - 1 and k can each take any color, :func:`_placed` then turns
-    the leaves into the prefixes of k - 1 balls that end them, and those
-    into their colorings, each group counted times the leaves or prefixes
-    it ends.  With k <= 2 there is no walk: the prefixes of one ball, its
-    color one of those in ``first``, are written down directly.  Beyond
-    ``counts`` the walk holds one color per ball.
+    The walk places k - 4 balls one at a time, then loops over the colors
+    of ball k - 3 inline and, inside that, over those of ball k - 2.  Each
+    color of ball k - 2 ends one walk leaf, a prefix of k - 2 balls, and
+    adds 1 to the leaf table's entry for its key: one increment per leaf,
+    with no shortcut by classes of colors.  Since balls k - 1 and k can
+    each take any color, :func:`_placed` then turns the leaves into the
+    prefixes of k - 1 balls that end them, and those into their colorings,
+    each group counted times the leaves or prefixes it ends.  With k <= 3
+    there is no walk: the prefixes of one ball, its color seen once, are
+    written down directly and :func:`_placed` runs k - 1 times.  Beyond
+    ``counts`` and the leaf table, the walk holds one color per ball.
 
     Each of m, lam and mu is then read off a coloring's (unseen, once) by
     its own definition: a ball is matched unless its color is held once,
@@ -178,27 +136,26 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
     """
     if not k:
         return {(0, 0, 0): 1}  # the empty coloring
-    if not first:
+    if not n:
         return {}  # no color for the first ball: no coloring, however long
-    if k <= 2:  # the first ball, in each of its colors, seen once
-        prefixes, length = {(n - 1, 1): len(first)}, 1
+    if k <= 3:  # the first ball, in each of its colors, seen once
+        prefixes, length = {(n - 1, 1): n}, 1
     else:
         # The key's move when a ball takes a color held 0 or 1 times before
         # it; a color held twice or more does not move it.
         move = (n, -n - 1)
-        # walk leaf key -> how many leaves have it
-        leaves: dict[int, int] = {}
-        get = leaves.get
+        base = n + 1  # unseen <= n, so once = key // base and unseen = key % base
+        # walk leaf key -> how many leaves have it; a leaf holds at most
+        # min(k - 2, n) colors once
+        leaves = [0] * (base * (min(k - 2, n) + 1))
         counts = [0] * n
-        walked = k - 3  # balls the walk places before ball k - 2
+        walked = k - 4  # balls the walk places before ball k - 3
         placed = [0] * walked  # the color of each of them
-        # the counts of the colors that ball k - 2 can take
-        last = counts if walked else [counts[c] for c in first]
         key = n  # no ball placed: all n colors unseen
         depth = 0
-        c = first.start
+        c = 0
         while True:
-            # Place color c, then color 0 on every ball up to ball k - 3.
+            # Place color c, then color 0 on every ball up to ball k - 4.
             while depth < walked:
                 cnt = counts[c]
                 if cnt < 2:
@@ -207,9 +164,15 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
                 placed[depth] = c
                 depth += 1
                 c = 0
-            for cnt in last:
-                leaf = key + move[cnt] if cnt < 2 else key
-                leaves[leaf] = get(leaf, 0) + 1
+            # Ball k - 3 in each color, then ball k - 2 in each color.
+            for c in range(n):
+                held = counts[c]
+                third = key + move[held] if held < 2 else key
+                at = (third + n, third - n - 1)
+                counts[c] = held + 1
+                for cnt in counts:
+                    leaves[at[cnt] if cnt < 2 else third] += 1
+                counts[c] = held
             # Take balls off until one can move on to its next color.
             while depth:
                 depth -= 1
@@ -218,18 +181,14 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
                 counts[c] = cnt
                 if cnt < 2:
                     key -= move[cnt]
-                if depth:
-                    c += 1
-                    if c < n:
-                        break
-                else:
-                    c += first.step
-                    if c in first:
-                        break
+                c += 1
+                if c < n:
+                    break
             else:
                 break
-        base = n + 1  # unseen <= n, so once = key // base and unseen = key % base
-        prefixes = {(leaf % base, leaf // base): times for leaf, times in leaves.items()}
+        prefixes = {
+            (leaf % base, leaf // base): times for leaf, times in enumerate(leaves) if times
+        }
         length = k - 2
     for _ in range(length, k):  # each later ball takes any of the n colors
         prefixes = _placed(prefixes, n)
@@ -237,64 +196,6 @@ def _tally(k: int, n: int, first: range) -> dict[tuple[int, int, int], int]:
         (k - once, n - unseen - once, k - (n - unseen)): colorings
         for (unseen, once), colorings in prefixes.items()
     }
-
-
-def _tally_in_child(k: int, n: int, first: range, read_end: int, write_end: int) -> None:
-    """Body of a forked worker: send the tally of its stripe down the pipe
-    as marshal bytes and leave by os._exit, so that nothing the parent had
-    buffered is flushed a second time and no parent code runs on."""
-    status = 1
-    try:
-        os.close(read_end)
-        with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps(_tally(k, n, first)))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _split_tally(k: int, n: int, workers: int) -> dict[tuple[int, int, int], int]:
-    """Tally every coloring with the first ball's colors dealt round-robin
-    to ``workers`` processes: this one walks stripe 0 and a forked child
-    walks each other stripe.  Every child is reaped before this returns or
-    raises; if this process is interrupted, the children are killed first."""
-    stripes = [range(i, n, workers) for i in range(workers)]
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    parts: list[bytes] = []
-    statuses: list[int] = []
-    try:
-        for stripe in stripes[1:]:
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _tally_in_child(k, n, stripe, read_end, write_end)
-            os.close(write_end)
-            children.append((pid, read_end))
-        tally = _tally(k, n, stripes[0])
-        for _, read_end in children:
-            with open(read_end, "rb", closefd=False) as pipe:
-                parts.append(pipe.read())
-    except BaseException:
-        import signal  # here, not at the top, so that importing ballseq stays as cheap
-
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, read_end in children:
-            os.close(read_end)
-            statuses.append(os.waitpid(pid, 0)[1])
-    failed = [
-        f"worker {i} exited with status {os.waitstatus_to_exitcode(status)}"
-        for i, status in enumerate(statuses, 1)
-        if status
-    ]
-    if failed:
-        raise RuntimeError(f"enumerating {n}^{k} colorings failed: " + "; ".join(failed))
-    for part in parts:
-        for key, count in marshal.loads(part).items():
-            tally[key] = tally.get(key, 0) + count
-    return tally
 
 
 def _refuse_over_budget(k: int, n: int, budget: int) -> None:
@@ -314,17 +215,14 @@ def _refuse_over_budget(k: int, n: int, budget: int) -> None:
 def enumerate_counts(k: int, n: int, budget: int = DEFAULT_BUDGET) -> DistributionTable:
     """Ground-truth census of the n^k colorings, each classified from its
     own prefix, whose statistics are carried ball by ball by their literal
-    definitions.  On a machine with several CPUs a large walk is split by
-    the color of the first ball across forked processes; each still
-    reaches its walk leaves one by one.
+    definitions, in one process that reaches its walk leaves one by one.
 
     Deliberately ignorant of every closed form it is used to check.
     Raises BudgetExceeded when n^k > budget, or when n = 1 and k exceeds
     both the budget and DEFAULT_BUDGET, rather than truncating.
     """
     _refuse_over_budget(k, n, budget)
-    workers = _workers(k, n) if k else 1  # the empty coloring has no first ball
-    tally = _split_tally(k, n, workers) if workers > 1 else _tally(k, n, range(n))
+    tally = _tally(k, n)
     by_match_cell: dict[tuple[int, int], Count] = {}
     by_repeat_count: dict[int, Count] = {}
     for (m, lam, mu), count in tally.items():

@@ -391,14 +391,24 @@ def test_huge_degenerate_shapes_exit_three(capsys):
 
 def test_unexpected_exception_exits_four(capsys, monkeypatch):
     def broken(k, n, budget):
-        raise RuntimeError("enumerating 4^6 colorings failed: worker 1 exited with status 1")
+        raise RuntimeError("enumerating 4^6 colorings failed")
 
     monkeypatch.setattr(oracle, "verify", broken)
     code, out, err = run(capsys, "verify", "--k", "6", "--n", "4")
     assert code == 4
     assert out == ""
-    assert err == ("error: RuntimeError: enumerating 4^6 colorings failed:"
-                   " worker 1 exited with status 1\n")
+    assert err == "error: RuntimeError: enumerating 4^6 colorings failed\n"
+
+
+def test_interrupt_exits_four_without_a_traceback(capsys, monkeypatch):
+    def interrupted(k, n, budget):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(oracle, "verify", interrupted)
+    code, out, err = run(capsys, "verify", "--k", "6", "--n", "4")
+    assert code == 4
+    assert out == ""
+    assert err == "error: interrupted\n"
 
 
 # ---------------------------------------------------------------- cold start

@@ -3,18 +3,14 @@
 import functools
 import itertools
 import os
-import subprocess
-import sys
 import time
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import ballseq
 from ballseq import core, oracle
 from ballseq.core import SequenceClass
 from ballseq.oracle import (
@@ -218,12 +214,10 @@ def test_default_budget_value():
     assert DEFAULT_BUDGET == 10**7
 
 
-# ------------------------------------------------- enumeration across workers
+# ------------------------------------------------------- the enumeration walk
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
-
-# Covers n < workers (empty stripes), uneven stripes, n = 0 with k >= 1, and
-# k = 0, whose single coloring has no first ball to split by.
+# Covers n = 0 with k >= 1, k = 0, shapes with no walk (k <= 3), and walks
+# that place one ball (k = 5) or seven (k = 11) one at a time.
 SPLIT_SHAPES = [
     (k, n) for k in (0, 1, 2, 5, 11) for n in (0, 1, 2, 3, 4, 7) if n**k <= 2 * 10**5
 ]
@@ -242,26 +236,27 @@ def _literal_census(k, n):
     return dict(by_match_cell), dict(by_repeat_count)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 5])
-def test_split_enumeration_matches_literal_census(monkeypatch, workers):
-    if workers > 1 and not hasattr(os, "fork"):
-        pytest.skip("no os.fork on this platform")
-    monkeypatch.setattr(oracle, "_workers", lambda k, n: workers)
-    for k, n in SPLIT_SHAPES:
+# Each case takes a run of SPLIT_SHAPES in a different order, so the census
+# of a shape does not hang on which shapes were walked before it.
+@pytest.mark.parametrize("stride", [1, 2, 3, 5])
+def test_split_enumeration_matches_literal_census(stride):
+    order = [SPLIT_SHAPES[i::stride] for i in range(stride)]
+    shapes = [shape for run in reversed(order) for shape in run]
+    assert sorted(shapes) == sorted(SPLIT_SHAPES)
+    for k, n in shapes:
         table = enumerate_counts(k, n)
         assert (table.by_match_cell, table.by_repeat_count) == _literal_census(k, n), (k, n)
 
 
-def test_small_shapes_never_fork(monkeypatch):
+def _forbid_fork(monkeypatch):
     def fork():
-        raise AssertionError(f"forked for fewer than {oracle._SPLIT_LEAVES} walk leaves")
+        raise AssertionError("the enumeration walk forked")
 
     monkeypatch.setattr(os, "fork", fork, raising=False)
+
+
+def test_small_shapes_never_fork(monkeypatch):
+    _forbid_fork(monkeypatch)
     # Few colorings make few walk leaves: (5, 9) has 729 and (10, 3) 6,561.
     shapes = [(0, 5000), (5000, 1), (11, 2), (7, 3), (3, 15), (2, 63), (5, 9), (10, 3)]
     for k, n in shapes:
@@ -270,14 +265,10 @@ def test_small_shapes_never_fork(monkeypatch):
 
 
 def test_walks_of_few_leaves_never_fork(monkeypatch):
-    def fork():
-        raise AssertionError(f"forked for fewer than {oracle._SPLIT_LEAVES} walk leaves")
-
-    monkeypatch.setattr(os, "fork", fork, raising=False)
+    _forbid_fork(monkeypatch)
     # Each has 65,536 colorings or more but few walk leaves of k - 2 balls:
     # (2, 3162) has 10^7 colorings and one leaf, (3, 215) 9.9 M colorings
-    # and 215 leaves, and (9, 4) and (16, 2) 16,384 leaves, under the
-    # threshold.
+    # and 215 leaves, and (9, 4) and (16, 2) 16,384 leaves.
     shapes = [(2, 256), (2, 1000), (2, 3162), (3, 60), (3, 127), (3, 215), (4, 25), (5, 19)]
     shapes += [(7, 6), (9, 4), (16, 2)]
     for k, n in shapes:
@@ -285,23 +276,11 @@ def test_walks_of_few_leaves_never_fork(monkeypatch):
         assert sum(table.by_match_cell.values()) == n**k, (k, n)
 
 
-@needs_fork
-def test_split_starts_at_the_leaf_threshold(monkeypatch):
-    monkeypatch.setattr(oracle.threading, "active_count", lambda: 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    # (11, 3) has 19,683 walk leaves, (6, 12) 20,736 and (17, 2) 32,768;
-    # (5, 26) has 17,576, (9, 4) and (16, 2) 16,384, (15, 2) 8,192 and
-    # (7, 6) 7,776.
-    assert [oracle._workers(k, n) for k, n in [(11, 3), (6, 12), (17, 2)]] == [2, 2, 2]
-    shapes = [(5, 26), (9, 4), (16, 2), (15, 2), (7, 6), (5, 19), (10, 3), (1, 10**6)]
-    assert [oracle._workers(k, n) for k, n in shapes] == [1] * len(shapes)
-
-
 # Every k <= 7 and n <= 6 small enough to classify literally, k = 0 and
 # n = 0 included, then wide palettes, where the walk loops over hundreds of
-# colors for ball k - 2, over the first ball's stripe when k = 3; and deep
-# narrow ones, where the walk places and takes off balls on many levels
-# above it and a color's count reaches k - 2.
+# colors for balls k - 3 and k - 2, or writes down the first ball's colors
+# when k <= 3; and deep narrow ones, where the walk places and takes off
+# balls on many levels above them and a color's count reaches k - 2.
 TALLY_SHAPES = [(k, n) for k in range(8) for n in range(7) if n**k <= 2 * 10**5]
 TALLY_SHAPES += [(1, 500), (2, 300), (3, 45), (4, 14), (12, 2), (9, 3), (15, 2)]
 TALLY_SHAPES += [(3, 150), (8, 4), (3, 31), (4, 11), (17, 2)]
@@ -318,29 +297,22 @@ def _literal_tally(k, n):
 
 @pytest.mark.parametrize("k, n", TALLY_SHAPES)
 def test_tally_matches_literal_classification(k, n):
-    full = _literal_tally(k, n)
-    assert oracle._tally(k, n, range(n)) == full
-    if k:  # the empty coloring has no first ball to split by
-        for w in (1, 2, 3):
-            stripes = Counter()
-            for i in range(w):
-                stripes.update(oracle._tally(k, n, range(i, n, w)))
-            assert dict(stripes) == full, w
+    assert oracle._tally(k, n) == _literal_tally(k, n)
 
 
 # (4, 128) walks a wide palette with k >= 4, as no TALLY_SHAPES entry does;
-# its leaf keys, unseen + 129 * once, reach 384.
-@pytest.mark.parametrize("k, n", [(3, 215), (21, 2), (4, 128)])
+# its leaf keys, unseen + 129 * once, reach 384.  At (4, 56) ball k - 3 is
+# the first ball and the walk places no ball one at a time; at (5, 30) it
+# places one.
+@pytest.mark.parametrize("k, n", [(3, 215), (21, 2), (4, 128), (4, 56), (5, 30)])
 def test_tally_matches_the_closed_forms_past_literal_reach(k, n):
     expected = distribution_table(k, n)
-    for w in (1, 2, 3):
-        by_match_cell, by_repeat_count = Counter(), Counter()
-        for i in range(w):
-            for (m, lam, mu), count in oracle._tally(k, n, range(i, n, w)).items():
-                by_match_cell[m, lam] += count
-                by_repeat_count[mu] += count
-        assert dict(by_match_cell) == expected.by_match_cell, w
-        assert dict(by_repeat_count) == expected.by_repeat_count, w
+    by_match_cell, by_repeat_count = Counter(), Counter()
+    for (m, lam, mu), count in oracle._tally(k, n).items():
+        by_match_cell[m, lam] += count
+        by_repeat_count[mu] += count
+    assert dict(by_match_cell) == expected.by_match_cell
+    assert dict(by_repeat_count) == expected.by_repeat_count
 
 
 def test_one_color_walk_holds_one_small_int_per_ball():
@@ -352,71 +324,6 @@ def test_one_color_walk_holds_one_small_int_per_ball():
         tracemalloc.stop()
     assert table.by_match_cell == {(10**5, 1): 1}
     assert peak <= 2 * 10**6
-
-
-@needs_fork
-def test_split_enumeration_leaves_no_child(monkeypatch):
-    monkeypatch.setattr(oracle, "_workers", lambda k, n: 3)
-    assert enumerate_counts(6, 4) == distribution_table(6, 4)
-    _assert_no_child_left()
-
-
-@needs_fork
-def test_failed_worker_makes_enumeration_raise(monkeypatch):
-    real = oracle._tally
-
-    def flaky(k, n, first):
-        if first.start == 1:
-            raise RuntimeError("worker lost")
-        return real(k, n, first)
-
-    monkeypatch.setattr(oracle, "_workers", lambda k, n: 3)
-    monkeypatch.setattr(oracle, "_tally", flaky)
-    with pytest.raises(RuntimeError, match="worker 1 exited with status 1"):
-        enumerate_counts(6, 4)
-    _assert_no_child_left()
-
-
-@needs_fork
-def test_interrupted_enumeration_kills_its_workers(monkeypatch):
-    real = oracle._tally
-
-    def stalled(k, n, first):
-        if first.start == 0:
-            raise KeyboardInterrupt
-        time.sleep(60)
-        return real(k, n, first)
-
-    monkeypatch.setattr(oracle, "_workers", lambda k, n: 3)
-    monkeypatch.setattr(oracle, "_tally", stalled)
-    start = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        enumerate_counts(6, 4)
-    assert time.perf_counter() - start < 30
-    _assert_no_child_left()
-
-
-@needs_fork
-def test_workers_do_not_flush_the_parents_buffered_stdout():
-    # stdout to a pipe is block-buffered, so the line is still in the
-    # buffer when the workers fork; each must leave without flushing it.
-    script = (
-        "from ballseq import oracle\n"
-        "oracle._workers = lambda k, n: 3\n"
-        "print('before the walk')\n"
-        "oracle.enumerate_counts(3, 22)\n"
-    )
-    src = str(Path(ballseq.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "before the walk\n"
 
 
 # -------------------------------------------------------------- verification
