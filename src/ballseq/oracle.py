@@ -4,12 +4,13 @@ Everything here works by brute force, in one process: a depth-first walk
 places the balls one at a time and reaches each prefix of k - 2 balls on its
 own.  The statistics of a prefix are carried ball by ball as two counts, how
 many colors it holds zero times and how many exactly once, each ball
-updating them from the count its own color had, in O(1) per ball.  The walk
-places k - 4 balls and loops over the colors of balls k - 3 and k - 2
-inline, each color of ball k - 2 ending one leaf, a prefix of k - 2 balls,
-tallied by those two counts in a flat table; after the walk, the same update
-by one ball turns each leaf into its prefixes of k - 1 balls and each of
-those into its colorings.  Each coloring's (m, lam, mu) is read off its two
+updating them from the count its own color had, in O(1) per ball; a table
+keeps, for each color, how far the next ball on it would move them.  The
+walk places k - 5 balls and loops over the colors of balls k - 4, k - 3 and
+k - 2 inline, each color of ball k - 2 ending one leaf, a prefix of k - 2
+balls, tallied by those two counts in a flat table; after the walk, the same
+update by one ball turns each leaf into its prefixes of k - 1 balls and each
+of those into its colorings.  Each coloring's (m, lam, mu) is read off its two
 counts by the definition of each.  No closed form, no symmetry shortcut, no
 sampling.  That independence is the point; :func:`verify` compares these
 tallies against the formula side cell by cell.  Requests too large to
@@ -37,9 +38,13 @@ class Coloring(_record("Coloring", "colors n")):
         colors = tuple(colors)
         core._require_nonneg(n=n)
         for c in colors:
-            if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < n:
+            # An exact int passes the type test at once; anything else must
+            # be an int subclass other than bool.
+            if (
+                c.__class__ is not int and (isinstance(c, bool) or not isinstance(c, int))
+            ) or not 0 <= c < n:
                 raise ValueError(f"color index {c!r} outside palette [0, {n})")
-        return super().__new__(cls, colors, n)
+        return tuple.__new__(cls, (colors, n))
 
 
 class ClassStats(_record("ClassStats", "m lam mu distinct")):
@@ -112,19 +117,23 @@ def _tally(k: int, n: int) -> dict[tuple[int, int, int], int]:
     moves the key by the count its color had before it, in O(1): an unseen
     color becomes seen once (+n), a color held once becomes held twice
     (-(n + 1)), and a color held twice or more leaves the key alone.
-    Taking a ball off undoes its move.
+    Taking a ball off undoes its move.  A move table of n entries holds
+    each color's move for the next ball, set from those three whenever the
+    color's count crosses 0, 1 or 2.
 
-    The walk places k - 4 balls one at a time, then loops over the colors
-    of ball k - 3 inline and, inside that, over those of ball k - 2.  Each
-    color of ball k - 2 ends one walk leaf, a prefix of k - 2 balls, and
-    adds 1 to the leaf table's entry for its key: one increment per leaf,
-    with no shortcut by classes of colors.  Since balls k - 1 and k can
-    each take any color, :func:`_placed` then turns the leaves into the
-    prefixes of k - 1 balls that end them, and those into their colorings,
-    each group counted times the leaves or prefixes it ends.  With k <= 3
-    there is no walk: the prefixes of one ball, its color seen once, are
-    written down directly and :func:`_placed` runs k - 1 times.  Beyond
-    ``counts`` and the leaf table, the walk holds one color per ball.
+    The walk places k - 5 balls one at a time, then loops over the colors
+    of ball k - 4 inline, inside that over those of ball k - 3, and inside
+    that over the move table for ball k - 2.  At k = 4 there is no ball
+    k - 4, and its loop runs once with no ball placed.  Each color of ball
+    k - 2 ends one walk leaf, a prefix of k - 2 balls, and adds 1 to the
+    leaf table's entry for its key: one increment per leaf, with no
+    shortcut by classes of colors.  Since balls k - 1 and k can each take
+    any color, :func:`_placed` then turns the leaves into the prefixes of
+    k - 1 balls that end them, and those into their colorings, each group
+    counted times the leaves or prefixes it ends.  With k <= 3 there is no
+    walk: the prefixes of one ball, its color seen once, are written down
+    directly and :func:`_placed` runs k - 1 times.  Beyond ``counts``, the
+    move table and the leaf table, the walk holds one color per ball.
 
     Each of m, lam and mu is then read off a coloring's (unseen, once) by
     its own definition: a ball is matched unless its color is held once,
@@ -141,46 +150,68 @@ def _tally(k: int, n: int) -> dict[tuple[int, int, int], int]:
     if k <= 3:  # the first ball, in each of its colors, seen once
         prefixes, length = {(n - 1, 1): n}, 1
     else:
-        # The key's move when a ball takes a color held 0 or 1 times before
-        # it; a color held twice or more does not move it.
-        move = (n, -n - 1)
+        # The key's move when a ball takes a color held 0, 1, or 2 or more
+        # times before it.
+        steps = (n, -n - 1, 0)
         base = n + 1  # unseen <= n, so once = key // base and unseen = key % base
         # walk leaf key -> how many leaves have it; a leaf holds at most
         # min(k - 2, n) colors once
         leaves = [0] * (base * (min(k - 2, n) + 1))
         counts = [0] * n
-        walked = k - 4  # balls the walk places before ball k - 3
-        placed = [0] * walked  # the color of each of them
+        # move[c] = steps[min(counts[c], 2)], set whenever counts[c] crosses
+        # 0, 1 or 2: one entry per color, not one per count, since a count
+        # reaches k - 2 and n = 1 walks 10^5 balls.
+        move = [n] * n
+        walked = k - 5  # balls the walk places before ball k - 4
+        placed = [0] * max(walked, 0)  # the color of each of them
+        # At k = 4 there is no ball k - 4: its loop runs once, placing nothing.
+        fourth = range(n) if k > 4 else (None,)
         key = n  # no ball placed: all n colors unseen
         depth = 0
         c = 0
         while True:
-            # Place color c, then color 0 on every ball up to ball k - 4.
+            # Place color c, then color 0 on every ball up to ball k - 5.
             while depth < walked:
-                cnt = counts[c]
-                if cnt < 2:
-                    key += move[cnt]
-                counts[c] = cnt + 1
+                key += move[c]
+                cnt = counts[c] + 1
+                counts[c] = cnt
+                if cnt < 3:
+                    move[c] = steps[cnt]
                 placed[depth] = c
                 depth += 1
                 c = 0
-            # Ball k - 3 in each color, then ball k - 2 in each color.
-            for c in range(n):
-                held = counts[c]
-                third = key + move[held] if held < 2 else key
-                at = (third + n, third - n - 1)
-                counts[c] = held + 1
-                for cnt in counts:
-                    leaves[at[cnt] if cnt < 2 else third] += 1
-                counts[c] = held
+            # Ball k - 4 in each color, inside it ball k - 3 in each color,
+            # and inside that ball k - 2 in each color, each a leaf.
+            for d in fourth:
+                fourth_key = key
+                if d is not None:
+                    held = counts[d]
+                    fourth_step = move[d]
+                    fourth_key += fourth_step
+                    counts[d] = held + 1
+                    if held < 2:
+                        move[d] = steps[held + 1]
+                for c in range(n):
+                    third_step = move[c]
+                    third = fourth_key + third_step
+                    held = counts[c]
+                    if held < 2:
+                        move[c] = steps[held + 1]
+                    for step in move:
+                        leaves[third + step] += 1
+                    move[c] = third_step
+                if d is not None:
+                    counts[d] -= 1
+                    move[d] = fourth_step
             # Take balls off until one can move on to its next color.
             while depth:
                 depth -= 1
                 c = placed[depth]
                 cnt = counts[c] - 1
                 counts[c] = cnt
-                if cnt < 2:
-                    key -= move[cnt]
+                if cnt < 3:
+                    move[c] = steps[cnt]
+                key -= move[c]
                 c += 1
                 if c < n:
                     break

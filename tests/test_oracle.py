@@ -6,6 +6,7 @@ import os
 import time
 import tracemalloc
 from collections import Counter
+from enum import IntEnum
 
 import pytest
 from hypothesis import given
@@ -57,6 +58,18 @@ def test_coloring_rejects_bools():
 
 def test_coloring_accepts_any_iterable_of_indices():
     assert Coloring([0, 1, 0], 2).colors == (0, 1, 0)
+
+
+class _Shade(IntEnum):
+    LIGHT = 0
+    DARK = 1
+
+
+def test_coloring_accepts_int_subclasses_but_not_bools_floats_or_strings():
+    assert Coloring((_Shade.DARK, 0), 2).colors == (_Shade.DARK, 0)
+    for c in (1.0, "1", True):
+        with pytest.raises(ValueError, match="outside palette"):
+            Coloring((0, c), 2)
 
 
 # ------------------------------------------------------------------ classify
@@ -301,10 +314,11 @@ def test_tally_matches_literal_classification(k, n):
 
 
 # (4, 128) walks a wide palette with k >= 4, as no TALLY_SHAPES entry does;
-# its leaf keys, unseen + 129 * once, reach 384.  At (4, 56) ball k - 3 is
-# the first ball and the walk places no ball one at a time; at (5, 30) it
-# places one.
-@pytest.mark.parametrize("k, n", [(3, 215), (21, 2), (4, 128), (4, 56), (5, 30)])
+# its leaf keys, unseen + 129 * once, reach 384.  The walk loops balls k - 4,
+# k - 3 and k - 2 inline: at (4, 56) there is no ball k - 4, so ball k - 3 is
+# the first ball; at (5, 30) ball k - 4 is the first ball; and at (6, 20) the
+# walk places one ball one at a time above the three, on a wide palette.
+@pytest.mark.parametrize("k, n", [(3, 215), (21, 2), (4, 128), (4, 56), (5, 30), (6, 20)])
 def test_tally_matches_the_closed_forms_past_literal_reach(k, n):
     expected = distribution_table(k, n)
     by_match_cell, by_repeat_count = Counter(), Counter()
