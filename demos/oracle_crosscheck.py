@@ -2,9 +2,12 @@
 """
 Cross-check the closed forms against exhaustive enumeration.
 
-The oracle classifies every coloring literally, one at a time, with no
-knowledge of the formulas.  verify() then compares the two sides cell by
-cell; verify-range in the CLI does the same over a whole grid.
+The oracle tallies the colorings by brute force, with no knowledge of the
+formulas: a depth-first walk places their first k - 2 balls one color at a
+time, carrying each prefix's statistics by their definitions, and the last
+two balls, which can take any color, are added to the tallied prefixes one
+ball at a time.  verify() then compares the two sides cell by cell;
+verify-range in the CLI does the same over a whole grid.
 """
 
 from ballseq import BudgetExceeded, verify

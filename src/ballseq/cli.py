@@ -194,47 +194,46 @@ def _run_verify_range(args: argparse.Namespace) -> int:
     from . import oracle
 
     start = time.perf_counter()
-    pair_records = []
-    pair_lines = []
-    passed = failed = skipped = 0
+    pairs = []  # (k, n, report), the report None for a pair over the budget
     for k in range(args.max_k + 1):
         for n in range(args.max_n + 1):
             try:
-                report = oracle.verify(k, n, args.budget)
+                pairs.append((k, n, oracle.verify(k, n, args.budget)))
             except BudgetExceeded:
-                skipped += 1
-                pair_records.append({"k": k, "n": n, "status": "skipped"})
-                pair_lines.append(f"k={k} n={n}: SKIPPED (over budget)")
-                continue
-            if report.passed:
-                passed += 1
-            else:
-                failed += 1
-            record = {"k": k, "n": n, "status": "pass" if report.passed else "fail"}
-            record.update(_report_json(report))
-            del record["passed"]
-            pair_records.append(record)
-            pair_lines.extend(_report_lines(report))
+                pairs.append((k, n, None))
     elapsed = time.perf_counter() - start
-    all_passed = failed == 0
+    reports = [report for _, _, report in pairs if report]
+    failed = sum(not report.passed for report in reports)
+    passed, skipped = len(reports) - failed, len(pairs) - len(reports)
     if args.format == "json":
+        records = []
+        for k, n, report in pairs:
+            record = {"k": k, "n": n, "status": "skipped"}
+            if report:
+                record["status"] = "pass" if report.passed else "fail"
+                record.update(_report_json(report))
+                del record["passed"]
+            records.append(record)
         result = {
-            "pairs": pair_records,
+            "pairs": records,
             "pairs_passed": passed,
             "pairs_failed": failed,
             "pairs_skipped": skipped,
-            "passed": all_passed,
+            "passed": not failed,
         }
         _print_record(args, result, elapsed)
     else:
+        lines = []
+        for k, n, report in pairs:
+            lines += _report_lines(report) if report else [f"k={k} n={n}: SKIPPED (over budget)"]
         summary = (
-            f"checked {passed + failed} pairs:"
+            f"checked {len(reports)} pairs:"
             f" {passed} passed, {failed} failed, {skipped} skipped"
         )
         if not args.no_timing:
             summary += f" [{elapsed:.3f}s]"
-        print("\n".join(pair_lines + [summary]))
-    return EXIT_OK if all_passed else EXIT_MISMATCH
+        print("\n".join(lines + [summary]))
+    return EXIT_MISMATCH if failed else EXIT_OK
 
 
 def _add_command(subs, name: str, summary: str, params, handler, formats: tuple[str, ...],

@@ -7,14 +7,16 @@ many colors it holds zero times and how many exactly once, each ball
 updating them from the count its own color had, in O(1) per ball; a table
 keeps, for each color, how far the next ball on it would move them.  The
 walk places k - 5 balls and loops over the colors of balls k - 4, k - 3 and
-k - 2 inline, each color of ball k - 2 ending one leaf, a prefix of k - 2
-balls, tallied by those two counts in a flat table; after the walk, the same
-update by one ball turns each leaf into its prefixes of k - 1 balls and each
-of those into its colorings.  Each coloring's (m, lam, mu) is read off its two
-counts by the definition of each.  No closed form, no symmetry shortcut, no
-sampling.  That independence is the point; :func:`verify` compares these
-tallies against the formula side cell by cell.  Requests too large to
-enumerate are refused, never truncated.
+k - 2 inline, each inline ball stepping only its color's move, and back, and
+each color of ball k - 2 ending one leaf, a prefix of k - 2 balls, tallied
+by those two counts in a flat table.  Then the same update by one ball, from
+the empty prefix when k <= 3 leaves nothing to walk, turns each leaf into
+its prefixes of k - 1 balls and each of those into its colorings.  Each
+coloring's (m, lam, mu) is read off its two counts by the definition of
+each.  No closed form, no symmetry shortcut, no sampling.  That independence
+is the point; :func:`verify` compares these tallies against the formula side
+cell by cell.  Requests too large to enumerate are refused before any work,
+never truncated.
 
 ``BudgetExceeded`` and ``DEFAULT_BUDGET`` are defined in
 :mod:`ballseq.core` and re-exported here.  ``import ballseq`` does not
@@ -77,19 +79,6 @@ def classify(coloring: Coloring) -> ClassStats:
     return ClassStats(m, lam, mu, len(counts))
 
 
-def _exceeds_budget(k: int, n: int, budget: int) -> bool:
-    """Whether n^k > budget, found without building n^k: for n >= 2 the
-    running product passes any budget within about log2(budget) steps."""
-    if n <= 1:
-        return (n if k else 1) > budget  # 0^k = 0 for k >= 1; 1^k = x^0 = 1
-    size = 1
-    for _ in range(k):
-        size *= n
-        if size > budget:
-            return True
-    return size > budget
-
-
 def _placed(prefixes: dict, n: int) -> dict:
     """The prefixes one ball longer than ``prefixes``, counted by (unseen,
     once) as they are: of the n colors the new ball can take, unseen become
@@ -124,16 +113,20 @@ def _tally(k: int, n: int) -> dict[tuple[int, int, int], int]:
     The walk places k - 5 balls one at a time, then loops over the colors
     of ball k - 4 inline, inside that over those of ball k - 3, and inside
     that over the move table for ball k - 2.  At k = 4 there is no ball
-    k - 4, and its loop runs once with no ball placed.  Each color of ball
-    k - 2 ends one walk leaf, a prefix of k - 2 balls, and adds 1 to the
-    leaf table's entry for its key: one increment per leaf, with no
-    shortcut by classes of colors.  Since balls k - 1 and k can each take
-    any color, :func:`_placed` then turns the leaves into the prefixes of
-    k - 1 balls that end them, and those into their colorings, each group
-    counted times the leaves or prefixes it ends.  With k <= 3 there is no
-    walk: the prefixes of one ball, its color seen once, are written down
-    directly and :func:`_placed` runs k - 1 times.  Beyond ``counts``, the
-    move table and the leaf table, the walk holds one color per ball.
+    k - 4, and its loop runs once with no ball placed.  An inline ball steps
+    only the move table, by ``after``, which gives a color's next move from
+    its current one, and puts the old move back when the loops inside it
+    end; only the balls placed one at a time keep ``counts``, since a count
+    falling from 3 to 2 leaves its move at 0, and only the count tells that
+    from a fall from 2 to 1.  Each color of ball k - 2 ends one walk leaf, a
+    prefix of k - 2 balls, and adds 1 to the leaf table's entry for its key:
+    one increment per leaf, with no shortcut by classes of colors.  Since
+    balls k - 1 and k can each take any color, :func:`_placed` then turns
+    the leaves into the prefixes of k - 1 balls that end them, and those
+    into their colorings, each group counted times the leaves or prefixes it
+    ends.  With k <= 3 there is no walk, and :func:`_placed` runs k times
+    from the empty prefix.  Beyond ``counts``, the move table and the leaf
+    table, the walk holds one color per ball.
 
     Each of m, lam and mu is then read off a coloring's (unseen, once) by
     its own definition: a ball is matched unless its color is held once,
@@ -143,16 +136,16 @@ def _tally(k: int, n: int) -> dict[tuple[int, int, int], int]:
     m = lam + mu, and no closed form is used.  At a fixed k each (unseen,
     once) gives its own (m, lam, mu), so no two groups meet in the tally.
     """
-    if not k:
-        return {(0, 0, 0): 1}  # the empty coloring
-    if not n:
+    if k <= 3:  # no walk: the one empty prefix, all n colors unseen
+        prefixes, length = {(n, 0): 1}, 0
+    elif not n:
         return {}  # no color for the first ball: no coloring, however long
-    if k <= 3:  # the first ball, in each of its colors, seen once
-        prefixes, length = {(n - 1, 1): n}, 1
     else:
         # The key's move when a ball takes a color held 0, 1, or 2 or more
         # times before it.
         steps = (n, -n - 1, 0)
+        # A color's move for the next ball from its move for this one.
+        after = {n: -n - 1, -n - 1: 0, 0: 0}
         base = n + 1  # unseen <= n, so once = key // base and unseen = key % base
         # walk leaf key -> how many leaves have it; a leaf holds at most
         # min(k - 2, n) colors once
@@ -185,23 +178,17 @@ def _tally(k: int, n: int) -> dict[tuple[int, int, int], int]:
             for d in fourth:
                 fourth_key = key
                 if d is not None:
-                    held = counts[d]
                     fourth_step = move[d]
                     fourth_key += fourth_step
-                    counts[d] = held + 1
-                    if held < 2:
-                        move[d] = steps[held + 1]
+                    move[d] = after[fourth_step]
                 for c in range(n):
-                    third_step = move[c]
-                    third = fourth_key + third_step
-                    held = counts[c]
-                    if held < 2:
-                        move[c] = steps[held + 1]
-                    for step in move:
-                        leaves[third + step] += 1
-                    move[c] = third_step
+                    step = move[c]
+                    third = fourth_key + step
+                    move[c] = after[step]
+                    for last in move:
+                        leaves[third + last] += 1
+                    move[c] = step
                 if d is not None:
-                    counts[d] -= 1
                     move[d] = fourth_step
             # Take balls off until one can move on to its next color.
             while depth:
@@ -236,7 +223,18 @@ def _refuse_over_budget(k: int, n: int, budget: int) -> None:
     that coloring is held to max(budget, DEFAULT_BUDGET) balls, which lets
     a budget of exactly the n^k colorings still walk a short one."""
     core._require_nonneg(k=k, n=n)
-    if _exceeds_budget(k, n, budget):
+    # n^k, built no further than the budget: for n >= 2 the running product
+    # passes any budget within about log2(budget) steps; 0^k = 0 for k >= 1,
+    # while 1^k and n^0 are 1.
+    size = 1
+    if n > 1:
+        for _ in range(k):
+            size *= n
+            if size > budget:
+                break
+    elif k:
+        size = n
+    if size > budget:
         raise BudgetExceeded(k, n, budget)
     limit = max(budget, DEFAULT_BUDGET)
     if n == 1 and k > limit:

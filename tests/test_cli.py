@@ -339,6 +339,17 @@ def test_verify_range_mismatch_exits_two(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-range", "--max-k", "2", "--max-n", "2")
     assert code == 2
     assert "1 failed" in out
+    code, out, _ = run(capsys, "verify-range", "--max-k", "2", "--max-n", "2", "--format", "json")
+    assert code == 2
+    result = json.loads(out)["result"]
+    (skewed_pair,) = [pair for pair in result["pairs"] if (pair["k"], pair["n"]) == (2, 2)]
+    assert skewed_pair["status"] == "fail"
+    assert skewed_pair["mismatches"] == [
+        {"cell": "m=2,lambda=1", "formula": "3", "oracle": "2"},
+        {"cell": "total:formula", "formula": "5", "oracle": "4"},
+    ]
+    assert result["pairs_failed"] == 1
+    assert result["passed"] is False
 
 
 # -------------------------------------------------------------- usage errors

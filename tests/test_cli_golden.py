@@ -58,6 +58,8 @@ RUNS = [
     ["verify-range", "--max-k", "2", "--max-n", "3", "--no-timing"],
     ["verify-range", "--max-k", "2", "--max-n", "2", "--no-timing", "--format", "json"],
     ["verify-range", "--max-k", "4", "--max-n", "4", "--budget", "27", "--no-timing"],
+    ["verify-range", "--max-k", "4", "--max-n", "4", "--budget", "27", "--no-timing",
+     "--format", "json"],
     ["verify", "--budget", "1000", "--k", "12", "--n", "12"],
 ] + [
     # Edge shapes of the streamed table: no balls, no colors, one ball,

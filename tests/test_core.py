@@ -49,6 +49,14 @@ def test_doubly_surjective_rejects_negatives():
         doubly_surjective_count(-1, 0)
     with pytest.raises(ValueError):
         doubly_surjective_count(0, -1)
+    with pytest.raises(ValueError):
+        doubly_surjective_count(True, 0)
+    # A bool must not be served from the cached entry for the int it equals.
+    assert doubly_surjective_count(2, 1) == 1
+    with pytest.raises(ValueError):
+        doubly_surjective_count(2, True)
+    with pytest.raises(ValueError):
+        doubly_surjective_count(4, 2.0)
 
 
 def test_doubly_surjective_matches_brute_force_small():
